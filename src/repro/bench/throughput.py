@@ -12,7 +12,7 @@ form a trajectory across commits; the schema is versioned and asserted by
 
 Measurement notes:
 
-* Throughput is measured around ``ExecuteStage._replay_once`` only — the
+* Throughput is measured around ``ExecuteStage.replay_once`` only — the
   build stages run once up front, then the loop replays the same selection
   repeatedly (the virtual clock just keeps advancing).  Two unmeasured
   warm-up passes let the vectorized executor capture and verify its op
@@ -171,7 +171,7 @@ def measure_execute_throughput(
 
     ops = 0
     for _ in range(max(1, warmup_passes)):
-        ops, _skipped = stage._replay_once(context, runtime)
+        ops, _skipped = stage.replay_once(context, runtime)
     if ops <= 0:
         raise ValueError("trace has no supported operators to benchmark")
 
@@ -181,7 +181,7 @@ def measure_execute_throughput(
     clock = time.perf_counter
     while elapsed < min_seconds:
         start = clock()
-        stage._replay_once(context, runtime)
+        stage.replay_once(context, runtime)
         pass_s = clock() - start
         elapsed += pass_s
         passes += 1
@@ -233,7 +233,7 @@ def measure_profiler_overhead(
     profiled_ctx = build_context((ProfileHook(),))
     ops = 0
     for context in (baseline_ctx, profiled_ctx):
-        ops, _skipped = stage._replay_once(context, context.runtime)
+        ops, _skipped = stage.replay_once(context, context.runtime)
     if ops <= 0:
         raise ValueError("trace has no supported operators to benchmark")
 
@@ -257,9 +257,9 @@ def measure_profiler_overhead(
                     else (profiled_ctx, baseline_ctx)
                 )
                 start = clock()
-                stage._replay_once(first, first.runtime)
+                stage.replay_once(first, first.runtime)
                 mid = clock()
-                stage._replay_once(second, second.runtime)
+                stage.replay_once(second, second.runtime)
                 end = clock()
                 baseline_s, profiled_s = (
                     (mid - start, end - mid)
@@ -321,7 +321,7 @@ def measure_telemetry_overhead(
     traced_ctx = build_context((TelemetryHook(Tracer()),))
     ops = 0
     for context in (baseline_ctx, traced_ctx):
-        ops, _skipped = stage._replay_once(context, context.runtime)
+        ops, _skipped = stage.replay_once(context, context.runtime)
     if ops <= 0:
         raise ValueError("trace has no supported operators to benchmark")
 
@@ -345,9 +345,9 @@ def measure_telemetry_overhead(
                     else (traced_ctx, baseline_ctx)
                 )
                 start = clock()
-                stage._replay_once(first, first.runtime)
+                stage.replay_once(first, first.runtime)
                 mid = clock()
-                stage._replay_once(second, second.runtime)
+                stage.replay_once(second, second.runtime)
                 end = clock()
                 baseline_s, traced_s = (
                     (mid - start, end - mid)

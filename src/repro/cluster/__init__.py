@@ -43,7 +43,6 @@ from repro.cluster.rendezvous import (
     CollectiveSyncError,
     EventRendezvous,
     RankBlocked,
-    RendezvousCore,
     RendezvousStats,
 )
 from repro.cluster.scheduler import ClusterPaused, RankCursor, VirtualTimeScheduler
@@ -62,7 +61,6 @@ __all__ = [
     "RankCursor",
     "RankReplica",
     "RankReport",
-    "RendezvousCore",
     "RendezvousStats",
     "SyncCollectivesStage",
     "VirtualTimeScheduler",

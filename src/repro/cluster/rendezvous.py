@@ -23,20 +23,18 @@ the earliest and latest arrival is the collective's *skew* — both are
 recorded per event and aggregated into the
 :class:`~repro.cluster.engine.ClusterReport`.
 
-:class:`EventRendezvous` is the concrete implementation — the *event
-source* driving the single-threaded
-:class:`~repro.cluster.scheduler.VirtualTimeScheduler`: instead of
-blocking, an unresolved ``sync`` raises :class:`RankBlocked` so the
-scheduler can park the rank's op cursor and advance another rank; slots
-that resolve (or fail) are queued for :meth:`~EventRendezvous.take_ready`
-so the scheduler knows exactly which cursors to wake.  (A thread-barrier
-sibling, ``CollectiveRendezvous``, soaked one release as the
-differential-testing oracle and has been retired; the matching/pricing
-core it validated lives on in :class:`RendezvousCore`.)
+:class:`EventRendezvous` is the *event source* driving the
+single-threaded :class:`~repro.cluster.scheduler.VirtualTimeScheduler`:
+instead of blocking, an unresolved ``sync`` raises
+:class:`~repro.torchsim.distributed.RankBlocked`, which the rank's execute
+loop turns into a yield so the scheduler can park it and advance another
+rank; slots that resolve (or fail) are queued for
+:meth:`~EventRendezvous.take_ready` so the scheduler knows exactly which
+ranks to wake.
 
 Because a collective resolves only after **all** participants arrive, the
-resolved schedule is deterministic regardless of cursor scheduling order;
-:meth:`~RendezvousCore.stats` additionally sorts the event log canonically
+resolved schedule is deterministic regardless of scheduling order;
+:meth:`~EventRendezvous.stats` additionally sorts the event log canonically
 before accumulating, so the aggregated floats are byte-identical across
 schedules too.
 """
@@ -47,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.network import CollectiveCostModel
+from repro.torchsim.distributed import RankBlocked
 
 #: Identity of one collective call site: (sorted group ranks, op name).
 #: Together with a per-rank, per-key sequence number this matches calls
@@ -61,24 +60,6 @@ class CollectiveSyncError(RuntimeError):
     """A collective could not be matched across the participating replicas
     (a rank finished or failed without issuing it, or the fleet's
     collective issue orders are cross-wired)."""
-
-
-class RankBlocked(Exception):
-    """Control-flow signal of the event engine: the announcing rank cannot
-    proceed until the collective slot resolves.
-
-    Raised by :meth:`EventRendezvous.sync` *instead of blocking*; caught by
-    the rank's op cursor (:mod:`repro.cluster.scheduler`), which rolls the
-    runtime back to the op boundary, parks on :attr:`slot`, and retries the
-    op once the scheduler reports the slot resolved.  Never escapes the
-    scheduler — seeing one outside it means a blocking code path called an
-    event rendezvous.
-    """
-
-    def __init__(self, slot: CollectiveSlot) -> None:
-        key, seq = slot
-        super().__init__(f"rank blocked on collective {key[1]}[{seq}] over ranks {list(key[0])}")
-        self.slot = slot
 
 
 def normalize_op(op_name: str) -> str:
@@ -130,8 +111,23 @@ class _Pending:
     consumers: set = field(default_factory=set)
 
 
-class RendezvousCore:
-    """Matching, pricing and aggregation shared by both rendezvous kinds.
+def _event_sort_key(event: CollectiveEvent):
+    return (event.key[0], event.key[1], event.seq, sorted(event.arrivals.items()))
+
+
+class EventRendezvous:
+    """Non-blocking rendezvous: the event source of the virtual-time
+    scheduler (:class:`~repro.cluster.scheduler.VirtualTimeScheduler`):
+    matches each collective across ranks, prices it once, and releases all
+    participants at one virtual completion time.
+
+    :meth:`sync` never blocks.  When a slot cannot resolve yet it raises
+    :class:`RankBlocked`; the scheduler parks the rank's cursor on the slot
+    and advances another rank.  Slots that resolve or fail are queued and
+    handed to the scheduler through :meth:`take_ready`, which wakes exactly
+    the parked cursors — woken cursors *retry* the same ``sync`` call, and
+    the retry is recognised (same in-flight slot per rank) so the per-group
+    sequence number is not consumed twice.
 
     Parameters
     ----------
@@ -156,130 +152,6 @@ class RendezvousCore:
         self._pending: Dict[CollectiveSlot, _Pending] = {}
         self._retired: set = set()
         self.events: List[CollectiveEvent] = []
-
-    # ------------------------------------------------------------------
-    def sync(
-        self,
-        rank: int,
-        op: str,
-        group_ranks: Sequence[int],
-        bytes_per_rank: float,
-        arrival_us: float,
-    ) -> Tuple[float, Optional[float]]:
-        """Announce a collective; subclasses define the waiting discipline."""
-        raise NotImplementedError
-
-    def retire(self, rank: int) -> None:
-        """A replica finished (or failed): any collective still waiting on
-        it can never resolve — fail those waiters instead of hanging."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def _events_snapshot(self) -> List[CollectiveEvent]:
-        return list(self.events)
-
-    def stats(
-        self, measure_start_by_rank: Optional[Dict[int, float]] = None
-    ) -> "RendezvousStats":
-        """Aggregate view of the resolved collectives.
-
-        With ``measure_start_by_rank`` given, only collectives inside the
-        measured region count — an event is measured when every
-        participant arrived at or after its own measurement window start —
-        so warm-up iterations do not inflate stall, skew or the matched
-        count (every other reported metric is windowed the same way).
-
-        Events are accumulated in a *canonical* order (sorted by key,
-        sequence and arrivals) rather than resolution order: float addition
-        is not associative, and the append order of the event log depends
-        on the cursor schedule.  Sorting first makes the aggregated
-        stall/skew sums byte-identical across schedules.
-        """
-        events = self._events_snapshot()
-        if measure_start_by_rank is not None:
-            events = [
-                event
-                for event in events
-                if all(
-                    arrival >= measure_start_by_rank.get(rank, 0.0)
-                    for rank, arrival in event.arrivals.items()
-                )
-            ]
-        events.sort(key=_event_sort_key)
-        stall: Dict[int, float] = {rank: 0.0 for rank in self.participants}
-        skews = []
-        for event in events:
-            skews.append(event.skew_us)
-            for rank in event.arrivals:
-                stall[rank] = stall.get(rank, 0.0) + event.stall_us(rank)
-        return RendezvousStats(
-            matched=len(events),
-            max_skew_us=max(skews, default=0.0),
-            mean_skew_us=(sum(skews) / len(skews)) if skews else 0.0,
-            stall_us_by_rank=stall,
-        )
-
-    # ------------------------------------------------------------------
-    def _price(self, key: CollectiveKey, bytes_per_rank: float) -> Optional[float]:
-        group_size = len(key[0])
-        if group_size <= 1:
-            # Degenerate singleton "collective": free of alpha-beta cost.
-            return None
-        return self.cost_model.collective_us(key[1], bytes_per_rank, group_size)
-
-    def _record(
-        self,
-        key: CollectiveKey,
-        seq: int,
-        start: float,
-        duration: Optional[float],
-        arrivals: Dict[int, float],
-        bytes_per_rank: float,
-    ) -> None:
-        self.events.append(
-            CollectiveEvent(
-                key=key,
-                seq=seq,
-                start_us=start,
-                duration_us=duration if duration is not None else 0.0,
-                arrivals=arrivals,
-                bytes_per_rank=bytes_per_rank,
-            )
-        )
-
-    @staticmethod
-    def _mismatch_message(key: CollectiveKey, seq: int, pending: _Pending) -> str:
-        missing = sorted(pending.expected - set(pending.arrivals))
-        return (
-            f"collective {key[1]}[{seq}] over ranks {list(key[0])} can never complete: "
-            f"participant(s) {missing} finished their trace without issuing it "
-            f"(arrived: {sorted(pending.arrivals)})"
-        )
-
-
-def _event_sort_key(event: CollectiveEvent):
-    return (event.key[0], event.key[1], event.seq, sorted(event.arrivals.items()))
-
-
-class EventRendezvous(RendezvousCore):
-    """Non-blocking rendezvous: the event source of the virtual-time
-    scheduler (:class:`~repro.cluster.scheduler.VirtualTimeScheduler`).
-
-    :meth:`sync` never blocks.  When a slot cannot resolve yet it raises
-    :class:`RankBlocked`; the scheduler parks the rank's cursor on the slot
-    and advances another rank.  Slots that resolve or fail are queued and
-    handed to the scheduler through :meth:`take_ready`, which wakes exactly
-    the parked cursors — woken cursors *retry* the same ``sync`` call, and
-    the retry is recognised (same in-flight slot per rank) so the per-group
-    sequence number is not consumed twice.
-    """
-
-    def __init__(
-        self,
-        cost_model: CollectiveCostModel,
-        participants: Sequence[int],
-    ) -> None:
-        super().__init__(cost_model, participants)
         #: rank -> the slot its parked (to-be-retried) sync announced.
         self._inflight: Dict[int, CollectiveSlot] = {}
         #: Slots resolved/failed since the scheduler last drained.
@@ -355,6 +227,8 @@ class EventRendezvous(RendezvousCore):
 
     # ------------------------------------------------------------------
     def retire(self, rank: int) -> None:
+        """A replica finished (or failed): any collective still waiting on
+        it can never resolve — fail those waiters instead of hanging."""
         self._retired.add(int(rank))
         self._inflight.pop(int(rank), None)
         for slot, pending in self._pending.items():
@@ -386,6 +260,85 @@ class EventRendezvous(RendezvousCore):
                     f"expected: {sorted(pending.expected)})"
                 )
                 self._ready.append(slot)
+
+    # ------------------------------------------------------------------
+    def stats(
+        self, measure_start_by_rank: Optional[Dict[int, float]] = None
+    ) -> "RendezvousStats":
+        """Aggregate view of the resolved collectives.
+
+        With ``measure_start_by_rank`` given, only collectives inside the
+        measured region count — an event is measured when every
+        participant arrived at or after its own measurement window start —
+        so warm-up iterations do not inflate stall, skew or the matched
+        count (every other reported metric is windowed the same way).
+
+        Events are accumulated in a *canonical* order (sorted by key,
+        sequence and arrivals) rather than resolution order: float addition
+        is not associative, and the append order of the event log depends
+        on the cursor schedule.  Sorting first makes the aggregated
+        stall/skew sums byte-identical across schedules.
+        """
+        events = list(self.events)
+        if measure_start_by_rank is not None:
+            events = [
+                event
+                for event in events
+                if all(
+                    arrival >= measure_start_by_rank.get(rank, 0.0)
+                    for rank, arrival in event.arrivals.items()
+                )
+            ]
+        events.sort(key=_event_sort_key)
+        stall: Dict[int, float] = {rank: 0.0 for rank in self.participants}
+        skews = []
+        for event in events:
+            skews.append(event.skew_us)
+            for rank in event.arrivals:
+                stall[rank] = stall.get(rank, 0.0) + event.stall_us(rank)
+        return RendezvousStats(
+            matched=len(events),
+            max_skew_us=max(skews, default=0.0),
+            mean_skew_us=(sum(skews) / len(skews)) if skews else 0.0,
+            stall_us_by_rank=stall,
+        )
+
+    # ------------------------------------------------------------------
+    def _price(self, key: CollectiveKey, bytes_per_rank: float) -> Optional[float]:
+        group_size = len(key[0])
+        if group_size <= 1:
+            # Degenerate singleton "collective": free of alpha-beta cost.
+            return None
+        return self.cost_model.collective_us(key[1], bytes_per_rank, group_size)
+
+    def _record(
+        self,
+        key: CollectiveKey,
+        seq: int,
+        start: float,
+        duration: Optional[float],
+        arrivals: Dict[int, float],
+        bytes_per_rank: float,
+    ) -> None:
+        self.events.append(
+            CollectiveEvent(
+                key=key,
+                seq=seq,
+                start_us=start,
+                duration_us=duration if duration is not None else 0.0,
+                arrivals=arrivals,
+                bytes_per_rank=bytes_per_rank,
+            )
+        )
+
+    @staticmethod
+    def _mismatch_message(key: CollectiveKey, seq: int, pending: _Pending) -> str:
+        missing = sorted(pending.expected - set(pending.arrivals))
+        return (
+            f"collective {key[1]}[{seq}] over ranks {list(key[0])} can never complete: "
+            f"participant(s) {missing} finished their trace without issuing it "
+            f"(arrived: {sorted(pending.arrivals)})"
+        )
 
 
 @dataclass

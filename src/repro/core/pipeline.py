@@ -33,7 +33,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.core.comms_replay import CommReplayManager
 from repro.core.reconstruction import OperatorReconstructor, ReconstructionError, ReconstructedOp
@@ -44,7 +44,7 @@ from repro.core.tensors import TensorManager
 from repro.core.vectorize import replay_entries_vectorized
 from repro.hardware.counters import compute_system_metrics
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
-from repro.torchsim.distributed import DistributedContext
+from repro.torchsim.distributed import DistributedContext, RankBlocked, attempt_collective
 from repro.torchsim.profiler import Profiler
 from repro.torchsim.runtime import Runtime
 from repro.et.trace import ExecutionTrace
@@ -53,6 +53,32 @@ from repro.et.trace import ExecutionTrace
 class ReplayPipelineError(RuntimeError):
     """A stage was run against a context missing its prerequisites, or the
     pipeline finished without producing a result."""
+
+
+#: What a stage's or pipeline's :meth:`~ReplayStage.steps` generator is:
+#: it yields :class:`RankBlocked` whenever a collective waits on a
+#: cross-rank rendezvous and returns when the stage (or pipeline) is done.
+ReplaySteps = Generator[RankBlocked, None, Any]
+
+
+def _drain(steps: ReplaySteps) -> Any:
+    """Run a :data:`ReplaySteps` generator to completion; return its value.
+
+    Only a cooperative scheduler (:mod:`repro.cluster`) can resolve a
+    collective that waits on other ranks, so a yield here is an error, not
+    a wait: it is thrown back into the generator (so ``on_error`` hooks
+    see it) as a :class:`ReplayPipelineError` naming the collective.
+    """
+    try:
+        blocked = next(steps)
+    except StopIteration as done:
+        return done.value
+    error = ReplayPipelineError(
+        f"{blocked} outside a cooperative scheduler: a blocking replay cannot "
+        "wait for other ranks — co-replay the fleet with repro.cluster instead"
+    )
+    steps.throw(error)
+    raise error
 
 
 class CheckpointError(RuntimeError):
@@ -279,6 +305,14 @@ class ReplayStage:
     def run(self, context: ReplayContext) -> None:
         raise NotImplementedError
 
+    def steps(self, context: ReplayContext) -> ReplaySteps:
+        """The stage as a :data:`ReplaySteps` generator, which is how
+        :class:`ReplayPipeline` runs it.  Only a stage that can wait on a
+        cross-rank collective (:class:`ExecuteStage`) yields; every other
+        stage just runs."""
+        self.run(context)
+        yield from ()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -391,6 +425,13 @@ class ExecuteStage(ReplayStage):
         self.resume_from = resume_from
 
     def run(self, context: ReplayContext) -> None:
+        _drain(self.steps(context))
+
+    def steps(self, context: ReplayContext) -> ReplaySteps:
+        """The execute loop.  It yields :class:`RankBlocked` only when a
+        collective waits on a cross-rank rendezvous, so a cooperative
+        scheduler can park this replay and resume it later (see
+        :mod:`repro.cluster.scheduler`)."""
         runtime = context.require("runtime", self)
         context.require("selection", self)
         context.require("tensor_manager", self)
@@ -409,7 +450,7 @@ class ExecuteStage(ReplayStage):
 
         context.measuring = False
         for index in range(warmup_total):
-            self._replay_once(context, runtime)
+            yield from self._replay_once(context, runtime)
             self._boundary(context, runtime, index + 1, 0, warmup_total, measured_total)
 
         if profiler is not None:
@@ -421,7 +462,7 @@ class ExecuteStage(ReplayStage):
         context.measuring = True
         for index in range(measured_total):
             start = runtime.synchronize()
-            replayed, skipped = self._replay_once(context, runtime)
+            replayed, skipped = yield from self._replay_once(context, runtime)
             end = runtime.synchronize()
             context.iteration_times_us.append(end - start)
             context.replayed_ops += replayed
@@ -510,8 +551,15 @@ class ExecuteStage(ReplayStage):
             )
 
     # ------------------------------------------------------------------
-    def _replay_once(self, context: ReplayContext, runtime: Runtime) -> tuple:
-        """Replay every selected operator once, in execution order.
+    def replay_once(self, context: ReplayContext, runtime: Runtime) -> tuple:
+        """Replay every selected operator once and return ``(replayed,
+        skipped)`` — one pass of the execute loop outside any iteration
+        bookkeeping (the throughput benchmarks time exactly this)."""
+        return _drain(self._replay_once(context, runtime))
+
+    def _replay_once(self, context: ReplayContext, runtime: Runtime) -> ReplaySteps:
+        """Replay every selected operator once, in execution order; returns
+        ``(replayed, skipped)``.
 
         Dispatches to the vectorized executor (:mod:`repro.core.vectorize`)
         unless ``config.vectorized=False`` or an execution-graph observer is
@@ -522,10 +570,10 @@ class ExecuteStage(ReplayStage):
         if getattr(context.config, "vectorized", True) and (
             runtime.observer is None or not runtime.observer.enabled
         ):
-            return replay_entries_vectorized(context, runtime)
-        return self._replay_once_scalar(context, runtime)
+            return (yield from replay_entries_vectorized(context, runtime))
+        return (yield from self._replay_once_scalar(context, runtime))
 
-    def _replay_once_scalar(self, context: ReplayContext, runtime: Runtime) -> tuple:
+    def _replay_once_scalar(self, context: ReplayContext, runtime: Runtime) -> ReplaySteps:
         """The reference one-op-at-a-time loop (``vectorized=False``)."""
         replayed = 0
         skipped = 0
@@ -545,7 +593,12 @@ class ExecuteStage(ReplayStage):
                 if context.config.use_streams
                 else context.stream_assignment.default_stream
             )
-            result = reconstructed.function(runtime, *tensors, stream=stream)
+            if entry.category == "comms":
+                result = yield from attempt_collective(
+                    runtime, lambda: reconstructed.function(runtime, *tensors, stream=stream)
+                )
+            else:
+                result = reconstructed.function(runtime, *tensors, stream=stream)
             context.tensor_manager.register_outputs(entry.node, result)
             replayed += 1
             if notify:
@@ -782,13 +835,14 @@ class ReplayPipeline:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_context(self, context: ReplayContext) -> ReplayContext:
-        """Thread ``context`` through every stage and return it.
+    def steps(self, context: ReplayContext) -> ReplaySteps:
+        """Thread ``context`` through every stage; returns the context.
 
         Emits ``on_stage_start``/``on_stage_end`` around each stage and
-        ``on_error`` (then re-raises) when a stage fails.  Unlike
-        :meth:`run`, no final result is demanded — use this for partial
-        pipelines (dry builds, measure-less taps).
+        ``on_error`` (then re-raises) when a stage fails.  A generator that
+        yields :class:`RankBlocked` whenever the execute stage waits on a
+        cross-rank collective: the cluster scheduler drives it
+        cooperatively, :meth:`run_context` drives it to completion.
         """
         for hook in self.hooks:
             if hook not in context.hooks:
@@ -796,7 +850,7 @@ class ReplayPipeline:
         for stage in list(self.stages):
             self._dispatch("on_stage_start", context, stage)
             try:
-                stage.run(context)
+                yield from stage.steps(context)
             except Exception as error:
                 for hook in context.hooks:
                     # A buggy observer must not mask the real stage error
@@ -809,9 +863,18 @@ class ReplayPipeline:
             self._dispatch("on_stage_end", context, stage)
         return context
 
+    def run_context(self, context: ReplayContext) -> ReplayContext:
+        """Thread ``context`` through every stage and return it.  Unlike
+        :meth:`run`, no final result is demanded — use this for partial
+        pipelines (dry builds, measure-less taps)."""
+        return _drain(self.steps(context))
+
     def run(self, context: ReplayContext) -> "ReplayResult":
         """Thread ``context`` through every stage and return its result."""
-        self.run_context(context)
+        return self.result_of(self.run_context(context))
+
+    def result_of(self, context: ReplayContext) -> "ReplayResult":
+        """The result a finished run of this pipeline left on ``context``."""
         if context.result is None:
             raise ReplayPipelineError(
                 "pipeline finished without producing a result — it has no "

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.torchsim.distributed import Work
+from repro.torchsim.distributed import RankBlocked, Work, attempt_collective
 from repro.torchsim.kernel import KernelDesc, KernelLaunch, OpCategory
 from repro.torchsim.profiler import Profiler, TraceEvent
 from repro.torchsim.runtime import Runtime
@@ -214,8 +214,16 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
     # The replacement for ExecuteStage's scalar loop
     # ------------------------------------------------------------------
-    def replay_entries(self, context, runtime: Runtime) -> Tuple[int, int]:
-        """Replay every selected operator once; mirrors the scalar loop."""
+    def replay_entries(
+        self, context, runtime: Runtime
+    ) -> Generator[RankBlocked, None, Tuple[int, int]]:
+        """Replay every selected operator once; mirrors the scalar loop.
+
+        A generator returning ``(replayed, skipped)``: it yields only when
+        a collective blocks on a cross-rank rendezvous (see
+        :func:`~repro.torchsim.distributed.attempt_collective`), which never
+        happens outside a cooperative scheduler.
+        """
         replayed = 0
         skipped = 0
         notify = bool(context.hooks)
@@ -264,7 +272,13 @@ class VectorizedExecutor:
             if binding is None or entry.category == "comms":
                 if binding is not None:  # first comms occurrence: bind scalar
                     bindings[node_id] = None
-                result = reconstructed.function(runtime, *tensors, stream=stream)
+                if entry.category == "comms":
+                    result = yield from attempt_collective(
+                        runtime,
+                        lambda: reconstructed.function(runtime, *tensors, stream=stream),
+                    )
+                else:
+                    result = reconstructed.function(runtime, *tensors, stream=stream)
                 scalar_ops += 1
             else:
                 result = self._learn(
@@ -703,7 +717,9 @@ def _span_end_index(values: Sequence[float], ts_index: int, dur: float) -> int:
     return -1
 
 
-def replay_entries_vectorized(context, runtime: Runtime) -> Tuple[int, int]:
+def replay_entries_vectorized(
+    context, runtime: Runtime
+) -> Generator[RankBlocked, None, Tuple[int, int]]:
     """One vectorized pass over the selection (ExecuteStage's fast branch).
 
     The executor persists on ``context.extras`` so programs learned during
@@ -713,4 +729,4 @@ def replay_entries_vectorized(context, runtime: Runtime) -> Tuple[int, int]:
     if executor is None:
         executor = VectorizedExecutor()
         context.extras[EXTRAS_KEY] = executor
-    return executor.replay_entries(context, runtime)
+    return (yield from executor.replay_entries(context, runtime))

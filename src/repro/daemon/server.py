@@ -23,7 +23,8 @@ Routes::
 The caller identifies itself with the ``X-Repro-Client`` header; every
 job-specific route enforces ownership (403 on someone else's job).
 Errors map onto status codes: 400 malformed request / illegal state, 403
-not the owner, 404 unknown job or route, always with a JSON body
+not the owner, 404 unknown job or route, 413 request body larger than
+:data:`MAX_BODY_BYTES`, always with a JSON body
 ``{"error": ..., "error_type": ...}``.
 """
 
@@ -52,6 +53,15 @@ CLIENT_HEADER = "X-Repro-Client"
 
 #: Job actions POST /jobs/<id>/<action> may name.
 _ACTIONS = ("pause", "resume", "cancel")
+
+#: Largest request body the daemon reads.  A job spec names its traces by
+#: path, so real bodies are a few hundred bytes; a larger declared
+#: ``Content-Length`` is refused with 413 before anything is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class RequestTooLarge(Exception):
+    """The request declared a body larger than :data:`MAX_BODY_BYTES`."""
 
 
 class DaemonRequestHandler(BaseHTTPRequestHandler):
@@ -111,6 +121,10 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             return {}
+        if length > MAX_BODY_BYTES:
+            raise RequestTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         data = json.loads(self.rfile.read(length).decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
@@ -187,6 +201,11 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
                 self._reply(200, serialize.job_payload(record))
             else:
                 self._reply(404, {"error": f"no route {self.path!r}", "error_type": "LookupError"})
+        except RequestTooLarge as error:
+            # The unread body is still on the socket; drop the connection
+            # rather than parse it as the next request.
+            self.close_connection = True
+            self._error(413, error)
         except UnknownJobError as error:
             self._error(404, error)
         except JobAccessError as error:

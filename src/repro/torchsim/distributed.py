@@ -9,13 +9,17 @@ nccl/gloo/mpi/ucc backends.  What Mystique needs from it is:
 
 This module models exactly those pieces.  The actual duration of a
 collective comes from :class:`repro.hardware.network.CollectiveCostModel`.
+In a multi-rank co-replay a collective may instead have to wait for its
+peers: :class:`RankBlocked` and :func:`attempt_collective` are the
+cooperative-waiting protocol between the replay loop and the rendezvous
+attached as :attr:`DistributedContext.rendezvous`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim.kernel import KernelLaunch
@@ -50,6 +54,48 @@ class ProcessGroup:
     def describe(self) -> Dict[str, object]:
         """JSON-friendly description recorded in execution-trace inputs."""
         return {"pg_id": self.pg_id, "ranks": list(self.ranks), "backend": self.backend}
+
+
+class RankBlocked(Exception):
+    """Control-flow signal of cooperative co-replay: the announcing rank
+    cannot proceed until the collective slot resolves.
+
+    Raised by a non-blocking rendezvous's ``sync`` (see
+    :class:`repro.cluster.rendezvous.EventRendezvous`) *instead of
+    blocking*.  :func:`attempt_collective` turns it into a yield, so the
+    replay loop suspends and a cooperative scheduler can park it on
+    :attr:`slot`.  ``slot`` is ``((group ranks, op name), sequence)``.
+    """
+
+    def __init__(self, slot: Tuple[Tuple[Tuple[int, ...], str], int]) -> None:
+        key, seq = slot
+        super().__init__(f"rank blocked on collective {key[1]}[{seq}] over ranks {list(key[0])}")
+        self.slot = slot
+
+
+def attempt_collective(
+    runtime, call: Callable[[], Any]
+) -> Generator[RankBlocked, None, Any]:
+    """Run one collective op, yielding :class:`RankBlocked` until its
+    rendezvous resolves; returns the op's result.
+
+    A blocked attempt has already consumed a node ID and advanced the CPU
+    clock by the dispatch overhead inside ``Runtime.call``.  The wrapper
+    restores the :meth:`~repro.torchsim.runtime.Runtime.clock_state`
+    snapshot taken at the op boundary before yielding, and re-executes the
+    op verbatim when resumed (the rendezvous recognises the retry and does
+    not consume a second sequence number).  Everything else ``call``
+    touches is exception-safe or mutated only after the op function
+    returns, so the retried op replays exactly as a blocking engine would
+    have replayed it.
+    """
+    while True:
+        snapshot = runtime.clock_state()
+        try:
+            return call()
+        except RankBlocked as blocked:
+            runtime.restore_clock_state(snapshot)
+            yield blocked
 
 
 class Work:
@@ -107,7 +153,8 @@ class DistributedContext:
         }
         #: Cross-rank collective scheduler for multi-rank co-replay; when
         #: set (see :mod:`repro.cluster`), collectives synchronise through
-        #: it instead of being priced purely locally.
+        #: it instead of being priced purely locally, and an unresolved one
+        #: raises :class:`RankBlocked`.
         self.rendezvous: Optional[object] = None
 
     # ------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+import threading
 from dataclasses import replace as dataclass_replace
 
 import pytest
@@ -19,14 +21,22 @@ import pytest
 import repro.api as api
 from repro.bench.aggregate import format_cluster_report
 from repro.bench.harness import compare_distributed
+from repro.bench.throughput import measure_execute_throughput
 from repro.cluster import (
     ClusterMatchError,
     ClusterReplayer,
     CollectiveSyncError,
+    SyncCollectivesStage,
     match_collectives,
 )
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked, normalize_op
-from repro.core.pipeline import run_replay
+from repro.core.pipeline import (
+    ExecuteStage,
+    ReplayContext,
+    ReplayPipeline,
+    ReplayPipelineError,
+    run_replay,
+)
 from repro.core.replayer import ReplayConfig
 from repro.et.analyzer import CATEGORY_COMMS, categorize_node
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
@@ -120,6 +130,49 @@ class TestEventRendezvous:
         assert rendezvous.take_ready() != []
         with pytest.raises(CollectiveSyncError, match="cannot resolve"):
             rendezvous.sync(0, "all_reduce", [0, 1], 1024, arrival_us=0.0)
+
+
+# ----------------------------------------------------------------------
+# The execute loop outside the scheduler
+# ----------------------------------------------------------------------
+class TestExecuteStageOutsideScheduler:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_blocked_collective_raises_instead_of_hanging(self, fleet_traces, vectorized):
+        """The execute loop is the scheduler's rank cursor, so it can block
+        on a rendezvous; run without a scheduler it must name the collective
+        it would wait on rather than wait for a peer that never arrives."""
+        rendezvous = EventRendezvous(CollectiveCostModel(InterconnectSpec()), range(WORLD))
+        context = ReplayContext(
+            trace=fleet_traces[0], config=ReplayConfig(device="A100", vectorized=vectorized)
+        )
+        ReplayPipeline.build_only().run_context(context)
+        SyncCollectivesStage(rendezvous).run(context)
+        outcome = {}
+
+        def run():
+            try:
+                ExecuteStage().run(context)
+            except Exception as error:  # noqa: BLE001 - inspected below
+                outcome["error"] = error
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "ExecuteStage.run hung on a missing peer"
+        error = outcome.get("error")
+        assert isinstance(error, ReplayPipelineError)
+        assert re.search(r"collective \w+\[0\] over ranks \[0, 1, 2, 3\]", str(error))
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_throughput_replay_once_path_replays_ops(self, fleet_traces, vectorized):
+        """The throughput benchmark times ``ExecuteStage.replay_once``; it
+        must really replay (a generator that is never driven times
+        nothing)."""
+        result = measure_execute_throughput(
+            fleet_traces[0], vectorized=vectorized, min_seconds=0.01, warmup_passes=1
+        )
+        assert result["ops"] > 0
+        assert result["passes"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -248,17 +301,9 @@ class TestClusterReplayer:
         with pytest.raises(ClusterMatchError, match="duplicate ranks"):
             ClusterReplayer().replay([fleet_traces[0], fleet_traces[0]])
 
-    def test_serial_backend_rejects_multi_rank_fleets(self, fleet_traces):
-        with pytest.raises(ValueError, match="serial"):
-            ClusterReplayer(backend="serial").replay(fleet_traces)
-
     def test_unknown_rank_override_is_rejected(self, fleet_traces):
         with pytest.raises(ClusterMatchError, match="rank_overrides"):
             ClusterReplayer().replay(fleet_traces, rank_overrides={9: {"device": "V100"}})
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ClusterReplayer(backend="process")
 
     def test_world_smaller_than_fleet_is_rejected(self, fleet_traces):
         """A world that cannot cover the fleet's ranks would clamp replicas

@@ -564,6 +564,28 @@ class TestHttpApi:
             DaemonClient(server.url).submit("mapreduce", {})
         assert error.value.status == 400
 
+    def test_oversized_body_maps_to_413_and_daemon_keeps_serving(self, server):
+        from http.client import HTTPConnection
+
+        from repro.daemon.server import MAX_BODY_BYTES
+
+        host, port = server.address
+        connection = HTTPConnection(host, port, timeout=10)
+        try:
+            # Declare a huge body but send none: the daemon must refuse on
+            # the header alone instead of trying to read it into memory.
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("X-Repro-Client", "alice")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES * 1024))
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert body["error_type"] == "RequestTooLarge"
+        assert DaemonClient(server.url).health()["schema_version"] == DAEMON_SCHEMA_VERSION
+
     def test_health_endpoint(self, server):
         health = DaemonClient(server.url).health()
         assert health["schema_version"] == DAEMON_SCHEMA_VERSION

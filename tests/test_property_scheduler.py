@@ -171,11 +171,6 @@ class TestConfigDeterminism:
 # Scheduler contract pins (absorbed from the retired equivalence suite)
 # ----------------------------------------------------------------------
 class TestSchedulerContract:
-    def test_serial_backend_still_rejects_multi_rank_fleets(self, ddp_fleet):
-        """The backend contract predates the event engine and survives it."""
-        with pytest.raises(ValueError, match="serial"):
-            ClusterReplayer(backend="serial").replay(ddp_fleet(2))
-
     @pytest.mark.parametrize("world_size", [1, 4])
     def test_deterministic_across_runs(self, ddp_fleet, world_size):
         traces = ddp_fleet(world_size)
@@ -373,9 +368,11 @@ class TestReplayDistCliFlags:
 
     def test_retired_engine_flag_is_rejected(self, fleet_dir, capsys):
         """``--engine`` shipped for exactly one release alongside the threaded
-        oracle; both are gone."""
-        with pytest.raises(SystemExit):
-            cli_main(["replay-dist", str(fleet_dir), "--engine", "threaded"])
+        oracle; both are gone.  So is ``--timeout``: the event scheduler
+        detects unresolvable fleets structurally and never needed it."""
+        for retired in (["--engine", "threaded"], ["--timeout", "60"]):
+            with pytest.raises(SystemExit):
+                cli_main(["replay-dist", str(fleet_dir), *retired])
 
     def test_json_round_trips_through_serialize(self, fleet_dir, capsys):
         assert (
