@@ -11,10 +11,12 @@ replay-throughput floors.
 """
 
 from repro.bench.throughput import (
+    CLUSTER_SCALE_SECTION,
     format_cluster_scale,
     merge_cluster_scale,
     run_cluster_scale_benchmark,
 )
+from repro.insights.regression import check_regressions, format_regressions
 
 from benchmarks.conftest import save_report
 
@@ -41,7 +43,13 @@ def test_cluster_scale_1024_rank_sweep(benchmark):
     assert section["total_replayed_ops"] >= WORLD_SIZE  # every rank did work
     assert section["critical_path_us"] > 0
 
-    # Fleet throughput floor (ranks x ops / sec).  Measured ~1,900 on the
-    # CI-class host; 250 leaves an order-of-magnitude margin for slow
-    # runners without letting the scheduler regress to unusable.
-    assert section["rank_ops_per_sec"] > 250.0
+    # Fleet throughput floor (ranks x ops / sec), declared in the
+    # regression watchdog's WATCHED_METRICS.
+    regressions = check_regressions({CLUSTER_SCALE_SECTION: section})
+    assert regressions.ok, format_regressions(regressions)
+    missing = [
+        c.metric
+        for c in regressions.checks
+        if c.status == "missing" and c.metric.startswith(CLUSTER_SCALE_SECTION + ".")
+    ]
+    assert not missing, missing

@@ -12,10 +12,12 @@ alongside the single-rank replay floors and the 1024-rank fleet number.
 """
 
 from repro.bench.throughput import (
+    DAEMON_THROUGHPUT_SECTION,
     format_daemon_throughput,
     merge_daemon_throughput,
     run_daemon_throughput_benchmark,
 )
+from repro.insights.regression import check_regressions, format_regressions
 
 from benchmarks.conftest import save_report
 
@@ -42,7 +44,15 @@ def test_daemon_throughput_8_clients(benchmark):
     # Unique configurations -> one cache entry per job, every one priced.
     assert section["cache_entries"] == section["jobs_total"]
 
-    # Throughput floor: measured well above this on a CI-class host; the
-    # floor only guards against the daemon path regressing to unusable
-    # (e.g. a serialization or lock bottleneck dwarfing replay time).
-    assert section["jobs_per_sec"] > 0.5
+    # Throughput floor, declared in the regression watchdog's
+    # WATCHED_METRICS: it only guards against the daemon path regressing
+    # to unusable (e.g. a serialization or lock bottleneck).
+    regressions = check_regressions({DAEMON_THROUGHPUT_SECTION: section})
+    assert regressions.ok, format_regressions(regressions)
+    missing = [
+        c.metric
+        for c in regressions.checks
+        if c.status == "missing"
+        and c.metric.startswith(DAEMON_THROUGHPUT_SECTION + ".")
+    ]
+    assert not missing, missing

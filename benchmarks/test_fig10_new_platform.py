@@ -8,9 +8,10 @@ replay-predicted speedup for the new platform (where the original cannot yet
 run).
 """
 
+import repro.api as api
 from repro.bench.harness import run_original
 from repro.bench.reporting import format_series
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.workloads import build_workload
 
 from benchmarks.conftest import save_report
@@ -27,12 +28,12 @@ def run_fig10(paper_captures):
     for platform in ESTABLISHED_PLATFORMS:
         original = run_original(build_workload(WORKLOAD), device=platform, iterations=1, warmup_iterations=0)
         original_times[platform] = original.mean_iteration_time_us
-        replay = Replayer(
+        replay = api.replay(
             capture.execution_trace, capture.profiler_trace, ReplayConfig(device=platform)
         ).run()
         replay_times[platform] = replay.mean_iteration_time_us
     # The new platform only runs the generated benchmark.
-    new_platform_replay = Replayer(
+    new_platform_replay = api.replay(
         capture.execution_trace, capture.profiler_trace, ReplayConfig(device=NEW_PLATFORM)
     ).run()
     replay_times[NEW_PLATFORM] = new_platform_replay.mean_iteration_time_us

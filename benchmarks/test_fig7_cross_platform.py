@@ -7,9 +7,10 @@ generated benchmark is portable without regeneration.  As in the paper, the
 production workloads (ASR, RM) are only evaluated on the two GPU platforms.
 """
 
+import repro.api as api
 from repro.bench.harness import capture_workload, unsupported_gpu_time_us
 from repro.bench.reporting import format_series
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.workloads import build_workload
 
 from benchmarks.conftest import PAPER_WORKLOADS, save_report
@@ -36,7 +37,7 @@ def run_fig7(paper_captures):
                 build_workload(name), device=platform, warmup_iterations=0
             )
             calibrated = original.iteration_time_us - unsupported_gpu_time_us(original)
-            replay = Replayer(
+            replay = api.replay(
                 capture.execution_trace, capture.profiler_trace, ReplayConfig(device=platform)
             ).run()
             ratios[name][platform] = replay.mean_iteration_time_us / calibrated

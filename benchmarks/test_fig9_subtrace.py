@@ -8,8 +8,9 @@ outside the label is left out.
 
 import pytest
 
+import repro.api as api
 from repro.bench.reporting import format_table
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 
 from benchmarks.conftest import save_report
 
@@ -28,13 +29,13 @@ def run_fig9(capture):
     forward_gpu_time = forward_selection.coverage().supported_gpu_time_us
 
     subtrace_results = [
-        Replayer(
+        api.replay(
             capture.execution_trace, capture.profiler_trace,
             ReplayConfig(subtrace_label=FORWARD_LABEL, iterations=1),
         ).run()
         for _ in range(2)  # two replay iterations, as in the paper's figure
     ]
-    full_result = Replayer(
+    full_result = api.replay(
         capture.execution_trace, capture.profiler_trace, ReplayConfig(iterations=1)
     ).run()
     return forward_gpu_time, subtrace_results, full_result

@@ -12,8 +12,9 @@ replays a subset of ranks while the collective cost model still prices the
 full 64-rank topology.
 """
 
+import repro.api as api
 from repro.bench.reporting import format_table
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.workloads.ddp import DistributedRunner
 from repro.workloads.rm import RMConfig, RMWorkload
 
@@ -37,7 +38,7 @@ def run_table5():
 
     replay_metrics = []
     for capture in captures:
-        result = Replayer(
+        result = api.replay(
             capture.execution_trace, capture.profiler_trace,
             ReplayConfig(device="A100", rank=capture.rank),
         ).run()

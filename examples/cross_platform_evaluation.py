@@ -16,9 +16,10 @@ The example prints, for the ResNet workload:
 Run with:  python examples/cross_platform_evaluation.py
 """
 
+import repro.api as api
 from repro.bench.harness import capture_workload, run_original
 from repro.bench.reporting import format_table
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.workloads.resnet import ResNetConfig, ResNetWorkload
 
 
@@ -35,7 +36,7 @@ def main() -> None:
     rows = []
     replay_times = {}
     for platform in ("CPU", "V100", "A100", "NewPlatform"):
-        replay = Replayer(
+        replay = api.replay(
             capture.execution_trace, capture.profiler_trace, ReplayConfig(device=platform)
         ).run()
         replay_times[platform] = replay.mean_iteration_time_us

@@ -17,10 +17,11 @@ execution trace (Sections 6.3 and 7.1 of the paper):
 Run with:  python examples/subtrace_and_custom_ops.py
 """
 
+import repro.api as api
 from repro.bench.harness import capture_workload
 from repro.bench.reporting import format_table
 from repro.core.registry import ReplaySupport
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.torchsim.distributed import DistributedContext
 from repro.torchsim.runtime import Runtime
 from repro.workloads.asr import ASRConfig, ASRWorkload
@@ -35,12 +36,12 @@ def subtrace_replay_demo() -> None:
     capture = capture_workload(workload, warmup_iterations=0, runtime=runtime)
     capture.execution_trace.metadata["world_size"] = 4
 
-    full = Replayer(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
-    forward_only = Replayer(
+    full = api.replay(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
+    forward_only = api.replay(
         capture.execution_trace, capture.profiler_trace,
         ReplayConfig(subtrace_label="## forward ##"),
     ).run()
-    comms_only = Replayer(
+    comms_only = api.replay(
         capture.execution_trace, capture.profiler_trace,
         ReplayConfig(categories=["comms"]),
     ).run()
@@ -61,11 +62,11 @@ def custom_op_registration_demo() -> None:
     workload = ASRWorkload(ASRConfig(batch_size=8, num_frames=200, num_ffn_blocks=3))
     capture = capture_workload(workload, warmup_iterations=0)
 
-    default_replay = Replayer(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
+    default_replay = api.replay(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
 
     support = ReplaySupport()
     support.register_library("fairseq")  # user-provided implementations
-    extended_replay = Replayer(
+    extended_replay = api.replay(
         capture.execution_trace, capture.profiler_trace, ReplayConfig(), support=support
     ).run()
 

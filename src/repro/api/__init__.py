@@ -56,7 +56,6 @@ from repro.api.hooks import (
     MetricsTapHook,
     OpTraceHook,
     ProgressHook,
-    StageTimingHook,
 )
 from repro.api.cluster import ClusterSession, FleetSource
 from repro.api.session import ReplaySession, ReplaySource
@@ -285,7 +284,6 @@ __all__ = [
     # ready-made hooks
     "ProgressHook",
     "OpTraceHook",
-    "StageTimingHook",
     "MetricsTapHook",
     "ErrorCollectorHook",
     "MemoryHook",

@@ -208,10 +208,9 @@ class ClusterSession:
             from repro.profiling import ProfileHook
 
             at_exit = self._profile_at_exit
-            shared_tracer = self._tracer
 
             def profile_hook_factory(rank: int) -> ProfileHook:
-                return ProfileHook(report_at_exit=at_exit, tracer=shared_tracer)
+                return ProfileHook(report_at_exit=at_exit)
 
         replayer = ClusterReplayer(
             config=self._config,

@@ -65,6 +65,7 @@ class ReplaySession:
         self._pipeline = (pipeline if pipeline is not None else ReplayPipeline.default()).clone()
         self._runtime: Optional[Runtime] = None
         self._profile_hook: Optional[Any] = None
+        self._stage_timer: Optional[Any] = None
         self._tracer: Optional[Any] = None
         self._last_result: Optional[ReplayResult] = None
 
@@ -174,16 +175,22 @@ class ReplaySession:
         sessions without the hook pay zero per-op overhead.  Pass a
         pre-built ``hook`` to share or customise aggregation;
         ``report_at_exit=True`` prints the hot-first summary at interpreter
-        shutdown (tinygrad-style).
+        shutdown (tinygrad-style).  The hook is also the session's stage
+        timer: with :meth:`with_telemetry` on (in either order) it records
+        the ``stage:<name>`` spans onto the session's tracer, and its
+        ``stage_wall_s`` is the sum of those spans.
         """
         from repro.profiling import ProfileHook
 
         self._profile_hook = (
             hook if hook is not None else ProfileHook(report_at_exit=report_at_exit)
         )
-        if self._tracer is not None and getattr(self._profile_hook, "tracer", None) is None:
-            self._profile_hook.tracer = self._tracer
-        self._pipeline.add_hook(self._profile_hook)
+        if not isinstance(self._profile_hook, ProfileHook):
+            self._pipeline.add_hook(self._profile_hook)
+            return self
+        if self._tracer is not None:
+            self._profile_hook.share(self._tracer)
+        self._set_stage_timer(self._profile_hook)
         return self
 
     def with_telemetry(
@@ -193,7 +200,8 @@ class ReplaySession:
 
         Attaches a :class:`~repro.telemetry.TelemetryHook` recording one
         wall+virtual span per pipeline stage onto ``tracer`` (a fresh
-        :class:`~repro.telemetry.Tracer` is created when none is given);
+        :class:`~repro.telemetry.Tracer` is created when none is given;
+        a profiled session's ``ProfileHook`` records them instead);
         after :meth:`run` the measured kernel launches are folded in as
         compute/comms/exposed-comms Gantt slices, and
         :meth:`export_trace` writes the whole thing as Chrome-trace JSON.
@@ -202,13 +210,26 @@ class ReplaySession:
         (``enabled=False``) or absent — the disabled path costs one
         attribute read per callback.
         """
+        from repro.profiling import ProfileHook
         from repro.telemetry import TelemetryHook, Tracer
 
         self._tracer = tracer if tracer is not None else Tracer(enabled=enabled)
-        if self._profile_hook is not None and getattr(self._profile_hook, "tracer", None) is None:
-            self._profile_hook.tracer = self._tracer
-        self._pipeline.add_hook(TelemetryHook(self._tracer))
+        if isinstance(self._profile_hook, ProfileHook):
+            self._profile_hook.share(self._tracer)
+        else:
+            self._set_stage_timer(TelemetryHook(self._tracer))
         return self
+
+    def _set_stage_timer(self, hook: Any) -> None:
+        """Keep exactly one stage timer on the pipeline: a later
+        :meth:`with_profiling` / :meth:`with_telemetry` replaces the
+        earlier timer in place (a ``ProfileHook`` is a ``TelemetryHook``)."""
+        hooks = self._pipeline.hooks
+        if self._stage_timer in hooks:
+            hooks[hooks.index(self._stage_timer)] = hook
+        else:
+            hooks.append(hook)
+        self._stage_timer = hook
 
     @property
     def tracer(self) -> Optional[Any]:

@@ -39,7 +39,7 @@ from repro.bench.throughput import (
     BENCH_SCHEMA_VERSION,
     format_report as format_throughput_report,
     measure_execute_throughput,
-    measure_profiler_overhead,
+    measure_hook_overhead,
     run_benchmark as run_throughput_benchmark,
     write_report as write_throughput_report,
 )
@@ -66,7 +66,7 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "format_throughput_report",
     "measure_execute_throughput",
-    "measure_profiler_overhead",
+    "measure_hook_overhead",
     "run_throughput_benchmark",
     "write_throughput_report",
 ]

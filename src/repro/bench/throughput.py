@@ -41,6 +41,7 @@ from repro.core.pipeline import (
     ExecuteStage,
     InitCommsStage,
     ReplayContext,
+    ReplayHook,
     ReplayPipeline,
 )
 from repro.core.replayer import ReplayConfig
@@ -155,7 +156,7 @@ def measure_execute_throughput(
     ``ops_per_sec`` comes from the *fastest* pass: external host load can
     only ever slow a pass down, so the minimum is the most accurate sample
     and keeps the speedup assertions stable on noisy machines (same
-    rationale as :func:`measure_profiler_overhead`).
+    rationale as :func:`measure_hook_overhead`).
     """
     config = ReplayConfig(device=device, vectorized=vectorized, profile=False)
     context = ReplayContext(
@@ -195,26 +196,27 @@ def measure_execute_throughput(
     }
 
 
-def measure_profiler_overhead(
+def measure_hook_overhead(
     trace: ExecutionTrace,
+    hook: ReplayHook,
+    ops_key: str,
     profiler_trace: Optional[ProfilerTrace] = None,
     device: str = "A100",
     min_seconds: float = 0.2,
 ) -> Dict[str, float]:
-    """Per-op cost of an attached :class:`~repro.profiling.ProfileHook`.
+    """Per-op cost of an attached replay ``hook``.
 
-    Measured on the scalar loop (the hook rides the per-op ``notify``
-    branch there); the unhooked loop is the zero-overhead baseline.  The
-    two loops run *interleaved* (alternating which goes first, GC off) in
-    several chunks; each chunk yields a profiled/baseline total-time ratio
-    and the reported overhead is the *minimum* chunk ratio.  External load
-    only ever inflates a ratio — the hook cannot make a pass faster — so
-    the cleanest chunk is the most accurate estimate, which keeps this
-    number assertable (<5%) on noisy CI machines.
+    Measured on the scalar loop (hooks ride the per-op ``notify`` branch
+    there); the unhooked loop is the zero-overhead baseline.  The two loops
+    run *interleaved* (alternating which goes first, GC off) in several
+    chunks; each chunk yields a hooked/baseline total-time ratio and the
+    reported overhead is the *minimum* chunk ratio.  External load only
+    ever inflates a ratio — the hook cannot make a pass faster — so the
+    cleanest chunk is the most accurate estimate, which keeps this number
+    assertable (<5%) on noisy CI machines.  The hooked loop's throughput
+    is reported under ``ops_key``.
     """
     import gc
-
-    from repro.profiling import ProfileHook
 
     def build_context(hooks: Sequence[Any]) -> ReplayContext:
         config = ReplayConfig(device=device, vectorized=False, profile=False)
@@ -230,9 +232,9 @@ def measure_profiler_overhead(
 
     stage = ExecuteStage()
     baseline_ctx = build_context(())
-    profiled_ctx = build_context((ProfileHook(),))
+    hooked_ctx = build_context((hook,))
     ops = 0
-    for context in (baseline_ctx, profiled_ctx):
+    for context in (baseline_ctx, hooked_ctx):
         ops, _skipped = stage.replay_once(context, context.runtime)
     if ops <= 0:
         raise ValueError("trace has no supported operators to benchmark")
@@ -242,131 +244,43 @@ def measure_profiler_overhead(
     chunk_seconds = max(min_seconds, 0.05)
     best_ratio = float("inf")
     best_baseline_s = float("inf")
-    best_profiled_s = float("inf")
+    best_hooked_s = float("inf")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _chunk in range(chunks):
             baseline_total = 0.0
-            profiled_total = 0.0
+            hooked_total = 0.0
             baseline_first = True
-            while baseline_total + profiled_total < chunk_seconds:
+            while baseline_total + hooked_total < chunk_seconds:
                 first, second = (
-                    (baseline_ctx, profiled_ctx)
+                    (baseline_ctx, hooked_ctx)
                     if baseline_first
-                    else (profiled_ctx, baseline_ctx)
+                    else (hooked_ctx, baseline_ctx)
                 )
                 start = clock()
                 stage.replay_once(first, first.runtime)
                 mid = clock()
                 stage.replay_once(second, second.runtime)
                 end = clock()
-                baseline_s, profiled_s = (
+                baseline_s, hooked_s = (
                     (mid - start, end - mid)
                     if baseline_first
                     else (end - mid, mid - start)
                 )
                 baseline_total += baseline_s
-                profiled_total += profiled_s
+                hooked_total += hooked_s
                 best_baseline_s = min(best_baseline_s, baseline_s)
-                best_profiled_s = min(best_profiled_s, profiled_s)
+                best_hooked_s = min(best_hooked_s, hooked_s)
                 baseline_first = not baseline_first
-            best_ratio = min(best_ratio, profiled_total / baseline_total)
+            best_ratio = min(best_ratio, hooked_total / baseline_total)
     finally:
         if gc_was_enabled:
             gc.enable()
     raw_pct = (best_ratio - 1.0) * 100.0
     return {
         "baseline_ops_per_sec": ops / best_baseline_s,
-        "profiled_ops_per_sec": ops / best_profiled_s,
-        "overhead_pct": max(0.0, raw_pct),
-        "overhead_raw_pct": raw_pct,
-        "noise_floor_pct": OVERHEAD_NOISE_FLOOR_PCT,
-    }
-
-
-def measure_telemetry_overhead(
-    trace: ExecutionTrace,
-    profiler_trace: Optional[ProfilerTrace] = None,
-    device: str = "A100",
-    min_seconds: float = 0.2,
-) -> Dict[str, float]:
-    """Per-op cost of an attached, *enabled* telemetry hook.
-
-    Same interleaved-chunk / min-ratio protocol as
-    :func:`measure_profiler_overhead` (see there for why the minimum chunk
-    ratio is the assertable estimate), but the hooked loop carries a
-    :class:`~repro.telemetry.TelemetryHook` bound to an enabled
-    :class:`~repro.telemetry.Tracer` — the worst case the ISSUE's <5%
-    budget covers; the disabled path never reaches the hook at all.
-    """
-    import gc
-
-    from repro.telemetry import TelemetryHook, Tracer
-
-    def build_context(hooks: Sequence[Any]) -> ReplayContext:
-        config = ReplayConfig(device=device, vectorized=False, profile=False)
-        context = ReplayContext(
-            trace=trace,
-            profiler_trace=profiler_trace,
-            config=config,
-            hooks=list(hooks),
-        )
-        ReplayPipeline.build_only().run_context(context)
-        InitCommsStage().run(context)
-        return context
-
-    stage = ExecuteStage()
-    baseline_ctx = build_context(())
-    traced_ctx = build_context((TelemetryHook(Tracer()),))
-    ops = 0
-    for context in (baseline_ctx, traced_ctx):
-        ops, _skipped = stage.replay_once(context, context.runtime)
-    if ops <= 0:
-        raise ValueError("trace has no supported operators to benchmark")
-
-    clock = time.perf_counter
-    chunks = 3
-    chunk_seconds = max(min_seconds, 0.05)
-    best_ratio = float("inf")
-    best_baseline_s = float("inf")
-    best_traced_s = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _chunk in range(chunks):
-            baseline_total = 0.0
-            traced_total = 0.0
-            baseline_first = True
-            while baseline_total + traced_total < chunk_seconds:
-                first, second = (
-                    (baseline_ctx, traced_ctx)
-                    if baseline_first
-                    else (traced_ctx, baseline_ctx)
-                )
-                start = clock()
-                stage.replay_once(first, first.runtime)
-                mid = clock()
-                stage.replay_once(second, second.runtime)
-                end = clock()
-                baseline_s, traced_s = (
-                    (mid - start, end - mid)
-                    if baseline_first
-                    else (end - mid, mid - start)
-                )
-                baseline_total += baseline_s
-                traced_total += traced_s
-                best_baseline_s = min(best_baseline_s, baseline_s)
-                best_traced_s = min(best_traced_s, traced_s)
-                baseline_first = not baseline_first
-            best_ratio = min(best_ratio, traced_total / baseline_total)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    raw_pct = (best_ratio - 1.0) * 100.0
-    return {
-        "baseline_ops_per_sec": ops / best_baseline_s,
-        "telemetry_ops_per_sec": ops / best_traced_s,
+        ops_key: ops / best_hooked_s,
         "overhead_pct": max(0.0, raw_pct),
         "overhead_raw_pct": raw_pct,
         "noise_floor_pct": OVERHEAD_NOISE_FLOOR_PCT,
@@ -410,12 +324,19 @@ def run_benchmark(
             "speedup": vectorized["ops_per_sec"] / scalar["ops_per_sec"],
         }
     if rm_capture is not None:
-        report["profiler"] = measure_profiler_overhead(
-            rm_capture[0], rm_capture[1], device=device, min_seconds=min_seconds
-        )
-        report["telemetry_overhead"] = measure_telemetry_overhead(
-            rm_capture[0], rm_capture[1], device=device, min_seconds=min_seconds
-        )
+        from repro.profiling import ProfileHook
+        from repro.telemetry import TelemetryHook, Tracer
+
+        # The telemetry hook is bound to an *enabled* tracer: the worst
+        # case the <5% budget covers (a disabled tracer's hook bails early).
+        for section, hook, ops_key in (
+            ("profiler", ProfileHook(), "profiled_ops_per_sec"),
+            ("telemetry_overhead", TelemetryHook(Tracer()), "telemetry_ops_per_sec"),
+        ):
+            report[section] = measure_hook_overhead(
+                rm_capture[0], hook, ops_key, rm_capture[1],
+                device=device, min_seconds=min_seconds,
+            )
     return report
 
 

@@ -356,7 +356,9 @@ class ClusterReplayer:
         #: every replica runs with its own profiling hook and the aggregated
         #: :class:`~repro.profiling.ProfileReport` lands on its
         #: :class:`RankReport` — one hook per rank so per-rank attribution
-        #: stays separate while the scheduler interleaves ranks.
+        #: stays separate while the scheduler interleaves ranks.  With a
+        #: tracer set, each hook records its rank's stage spans there
+        #: (``ProfileHook.share``) in place of a separate TelemetryHook.
         self.profile_hook_factory = profile_hook_factory
         #: Optional :class:`~repro.telemetry.Tracer` (set by
         #: ``ClusterSession.with_telemetry()`` or the ``--trace-out`` CLI
@@ -436,14 +438,22 @@ class ClusterReplayer:
         replicas = []
         for trace, profiler in zip(fleet, profilers):
             rank = int(trace.metadata.get("rank", 0))
-            hooks: Optional[Tuple[Any, ...]] = None
+            hooks: Tuple[Any, ...] = ()
+            profile_hook = None
             if self.profile_hook_factory is not None:
-                profile_hooks[rank] = self.profile_hook_factory(rank)
-                hooks = (profile_hooks[rank],)
+                profile_hook = profile_hooks[rank] = self.profile_hook_factory(rank)
+                hooks = (profile_hook,)
             if tracer is not None:
+                # One stage timer per rank: a ProfileHook is a TelemetryHook,
+                # so it records the rank's stage spans onto the shared
+                # tracer; any other factory hook gets a TelemetryHook beside it.
+                from repro.profiling import ProfileHook
                 from repro.telemetry import TelemetryHook
 
-                hooks = (hooks or ()) + (TelemetryHook(tracer, rank=rank),)
+                if isinstance(profile_hook, ProfileHook):
+                    profile_hook.share(tracer, rank=rank)
+                else:
+                    hooks += (TelemetryHook(tracer, rank=rank),)
             replicas.append(
                 RankReplica.from_trace(
                     trace,

@@ -18,8 +18,7 @@ The pipeline follows Figure 3 of the paper:
    ``MeasureStage``) composed by a :class:`~repro.core.pipeline.ReplayPipeline`
    that threads a :class:`~repro.core.pipeline.ReplayContext` between stages
    and emits lifecycle events to registered hooks.
-8. :mod:`~repro.core.replayer` — the replay configuration and results, plus
-   the deprecated ``Replayer`` shim over the pipeline.
+8. :mod:`~repro.core.replayer` — the replay configuration and results.
 9. :mod:`~repro.core.generator` — emission of a standalone benchmark
    program.
 10. :mod:`~repro.core.scaledown` — scaled-down performance emulation
@@ -34,7 +33,7 @@ from repro.core.reconstruction import OperatorReconstructor, ReconstructionError
 from repro.core.tensors import TensorManager, EmbeddingValueConfig
 from repro.core.comms_replay import CommReplayManager
 from repro.core.streams import StreamAssigner
-from repro.core.replayer import Replayer, ReplayConfig, ReplayResult, ReplayResultSummary
+from repro.core.replayer import ReplayConfig, ReplayResult, ReplayResultSummary
 from repro.core.pipeline import (
     AssignStreamsStage,
     ExecuteStage,
@@ -79,7 +78,6 @@ __all__ = [
     "EmbeddingValueConfig",
     "CommReplayManager",
     "StreamAssigner",
-    "Replayer",
     "ReplayConfig",
     "ReplayResult",
     "BenchmarkGenerator",

@@ -4,15 +4,12 @@ One replay (Section 4 of the paper) is a sequence of well-defined steps:
 select the operators to replay, reconstruct a callable per operator,
 materialise the tensors they need, re-create the recorded stream placement,
 initialise the (possibly distributed) runtime, execute the operators in the
-recorded order, and measure the run.  Historically those steps were fused
-inside :meth:`repro.core.replayer.Replayer.run`; this module breaks them
-into first-class stage objects with a common protocol, composed by a
-:class:`ReplayPipeline` that threads a typed :class:`ReplayContext` between
-them.
+recorded order, and measure the run.  This module makes them first-class
+stage objects with a common protocol, composed by a :class:`ReplayPipeline`
+that threads a typed :class:`ReplayContext` between them.
 
-The pipeline is the single replay implementation in the package — the
-legacy :class:`~repro.core.replayer.Replayer` is a thin deprecated shim
-over it, and the public entry point is the :mod:`repro.api` facade.
+The pipeline is the single replay implementation in the package; the
+public entry point is the :mod:`repro.api` facade.
 
 Why stages?  Every consumer can now
 
@@ -24,10 +21,9 @@ Why stages?  Every consumer can now
 * *reuse* the build phase (run only the build stages to get a plan, then
   execute it many times).
 
-Determinism note: the stages reproduce the legacy ``Replayer`` execution
-order operation-for-operation, so results (and therefore the service
-layer's cached result digests) are byte-identical to the pre-pipeline
-implementation.
+Determinism note: the stages replay operators in recorded order,
+operation for operation; results (and therefore the service layer's
+cached result digests) depend on that order, so stage edits must keep it.
 """
 
 from __future__ import annotations

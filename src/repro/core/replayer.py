@@ -1,4 +1,4 @@
-"""The ET replayer configuration, results, and the legacy ``Replayer`` shim.
+"""The ET replay configuration and results.
 
 The replay implementation itself lives in :mod:`repro.core.pipeline` as a
 sequence of first-class stage objects (select → reconstruct → materialise
@@ -8,9 +8,7 @@ entry point is the :mod:`repro.api` facade.  This module keeps:
 * :class:`ReplayConfig` — everything that controls how a trace becomes a
   benchmark run (also the configuration point for the Section 7 use cases:
   subtrace replay, operator-type filtering, scaled-down emulation),
-* :class:`ReplayResult` / :class:`ReplayResultSummary` — the measurements,
-* :class:`Replayer` — a thin **deprecated** shim over the stage pipeline,
-  kept so existing callers and cached result digests are unchanged.
+* :class:`ReplayResult` / :class:`ReplayResultSummary` — the measurements.
 """
 
 from __future__ import annotations
@@ -18,22 +16,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.reconstruction import ReconstructedOp
-from repro.core.registry import ReplaySupport
-from repro.core.selection import CoverageReport, SelectionResult
-from repro.core.streams import StreamAssignment
-from repro.core.tensors import EmbeddingValueConfig, TensorManager
+from repro.core.selection import CoverageReport
+from repro.core.tensors import EmbeddingValueConfig
 from repro.hardware.counters import SystemMetrics
 from repro.hardware.gpu import TimelineStats
 from repro.hardware.network import InterconnectSpec
 from repro.torchsim.kernel import KernelLaunch
 from repro.torchsim.profiler import ProfilerTrace
-from repro.torchsim.runtime import Runtime
-from repro.et.trace import ExecutionTrace
 
 logger = logging.getLogger(__name__)
 
@@ -166,17 +158,6 @@ class ReplayConfig:
 
 
 @dataclass
-class ReplayPlan:
-    """The built (initialisation-phase) state of a replay."""
-
-    selection: SelectionResult
-    reconstructed: Dict[int, ReconstructedOp]
-    stream_assignment: StreamAssignment
-    tensor_manager: TensorManager
-    reconstruction_failures: Dict[int, str] = field(default_factory=dict)
-
-
-@dataclass
 class ReplayResult:
     """Measurements of one replay run."""
 
@@ -266,102 +247,3 @@ class ReplayResultSummary:
     def from_dict(cls, data: Dict[str, Any]) -> "ReplayResultSummary":
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         return cls(**{key: value for key, value in data.items() if key in known})
-
-
-class Replayer:
-    """**Deprecated** shim over the stage pipeline.
-
-    Replays an execution trace as a benchmark, exactly as before, but every
-    step now runs through :class:`repro.core.pipeline.ReplayPipeline`.  New
-    code should use the :mod:`repro.api` facade (or the pipeline directly);
-    :meth:`run` emits a :class:`DeprecationWarning`, and CI rejects direct
-    use inside ``src/`` outside this module.
-    """
-
-    def __init__(
-        self,
-        trace: ExecutionTrace,
-        profiler_trace: Optional[ProfilerTrace] = None,
-        config: Optional[ReplayConfig] = None,
-        support: Optional[ReplaySupport] = None,
-    ) -> None:
-        self.trace = trace
-        self.profiler_trace = profiler_trace
-        self.config = config if config is not None else ReplayConfig()
-        self.support = support if support is not None else ReplaySupport()
-        self.plan: Optional[ReplayPlan] = None
-
-    # ------------------------------------------------------------------
-    def _context(self, runtime: Optional[Runtime] = None):
-        from repro.core.pipeline import ReplayContext
-
-        return ReplayContext(
-            trace=self.trace,
-            profiler_trace=self.profiler_trace,
-            config=self.config,
-            support=self.support,
-            runtime=runtime,
-        )
-
-    # ------------------------------------------------------------------
-    # Initialisation phase
-    # ------------------------------------------------------------------
-    def build(self) -> ReplayPlan:
-        """Select, reconstruct and prepare everything needed to replay."""
-        from repro.core.pipeline import ReplayPipeline
-
-        context = self._context()
-        for stage in ReplayPipeline.build_only().stages:
-            stage.run(context)
-        self.plan = ReplayPlan(
-            selection=context.selection,
-            reconstructed=context.reconstructed,
-            stream_assignment=context.stream_assignment,
-            tensor_manager=context.tensor_manager,
-            reconstruction_failures=context.reconstruction_failures,
-        )
-        return self.plan
-
-    def make_runtime(self) -> Runtime:
-        """Create the runtime (and distributed context) the replay runs on."""
-        from repro.core.pipeline import make_replay_runtime
-
-        return make_replay_runtime(self.trace, self.config)
-
-    # ------------------------------------------------------------------
-    # Execution phase
-    # ------------------------------------------------------------------
-    def run(self, runtime: Optional[Runtime] = None) -> ReplayResult:
-        """Execute the replay and measure the generated benchmark.
-
-        Deprecated: use ``repro.api.replay(trace)...run()`` instead.
-        """
-        from repro.core.pipeline import BUILD_STAGE_NAMES, ReplayPipeline
-
-        warnings.warn(
-            "Replayer.run() is deprecated; use the repro.api facade "
-            "(repro.api.replay(trace)...run()) or repro.core.pipeline.ReplayPipeline",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        context = self._context(runtime=runtime)
-        pipeline = ReplayPipeline.default()
-        if self.plan is not None:
-            # A caller built (and possibly customised) the plan already —
-            # reuse it instead of re-running the build stages.
-            context.selection = self.plan.selection
-            context.reconstructed = self.plan.reconstructed
-            context.stream_assignment = self.plan.stream_assignment
-            context.tensor_manager = self.plan.tensor_manager
-            context.reconstruction_failures = self.plan.reconstruction_failures
-            pipeline.skip(*BUILD_STAGE_NAMES)
-        result = pipeline.run(context)
-        if self.plan is None:
-            self.plan = ReplayPlan(
-                selection=context.selection,
-                reconstructed=context.reconstructed,
-                stream_assignment=context.stream_assignment,
-                tensor_manager=context.tensor_manager,
-                reconstruction_failures=context.reconstruction_failures,
-            )
-        return result

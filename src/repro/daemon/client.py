@@ -60,6 +60,8 @@ class DaemonClient:
                 payload = json.loads(error.read().decode("utf-8"))
             except (ValueError, OSError):
                 payload = {}
+            finally:
+                error.close()  # it holds the response's socket
             raise DaemonClientError(
                 error.code,
                 str(payload.get("error") or error.reason),

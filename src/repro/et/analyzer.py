@@ -144,45 +144,6 @@ class CategoryBreakdown:
         return self._fractions(self.gpu_exposed_time_us)
 
 
-def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    if not intervals:
-        return []
-    ordered = sorted(intervals)
-    merged = [ordered[0]]
-    for start, end in ordered[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _interval_length(intervals: Sequence[Tuple[float, float]]) -> float:
-    return sum(end - start for start, end in intervals)
-
-
-def _subtract(base, cover):
-    result = []
-    for start, end in base:
-        segments = [(start, end)]
-        for c_start, c_end in cover:
-            next_segments = []
-            for s_start, s_end in segments:
-                if c_end <= s_start or c_start >= s_end:
-                    next_segments.append((s_start, s_end))
-                    continue
-                if c_start > s_start:
-                    next_segments.append((s_start, c_start))
-                if c_end < s_end:
-                    next_segments.append((c_end, s_end))
-            segments = next_segments
-            if not segments:
-                break
-        result.extend(segments)
-    return result
-
-
 class ETAnalyzer:
     """Statistics and selection over execution traces."""
 
@@ -224,7 +185,11 @@ class ETAnalyzer:
                 )
 
         # Exposed GPU time: per category, kernel busy intervals not covered
-        # by kernels of any other category.
+        # by kernels of any other category.  (Imported here: a module-level
+        # import would load repro.hardware before repro.torchsim, which the
+        # hardware <-> torchsim import cycle does not allow.)
+        from repro.hardware.gpu import merge_intervals, subtract_intervals, total_length
+
         descendants_category: Dict[int, str] = dict(node_category)
         for node in selected:
             category = categorize_node(node)
@@ -237,13 +202,13 @@ class ETAnalyzer:
                 category = kernel.args.get("category", CATEGORY_ATEN)
             category_intervals.setdefault(category, []).append((kernel.ts, kernel.end))
         for category, intervals in category_intervals.items():
-            own = _merge_intervals(intervals)
+            own = merge_intervals(intervals)
             others: List[Tuple[float, float]] = []
             for other, other_intervals in category_intervals.items():
                 if other != category:
                     others.extend(other_intervals)
-            exposed = _subtract(own, _merge_intervals(others))
-            breakdown.gpu_exposed_time_us[category] = _interval_length(exposed)
+            exposed = subtract_intervals(own, merge_intervals(others))
+            breakdown.gpu_exposed_time_us[category] = total_length(exposed)
         return breakdown
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.torchsim.kernel import KernelLaunch, OpCategory
 
 
-def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+def merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
     """Merge overlapping [start, end) intervals."""
     if not intervals:
         return []
@@ -37,11 +37,12 @@ def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, 
     return merged
 
 
-def _total_length(intervals: Sequence[Tuple[float, float]]) -> float:
+def total_length(intervals: Sequence[Tuple[float, float]]) -> float:
+    """Summed length of [start, end) intervals."""
     return sum(end - start for start, end in intervals)
 
 
-def _subtract_intervals(
+def subtract_intervals(
     base: Sequence[Tuple[float, float]], cover: Sequence[Tuple[float, float]]
 ) -> List[Tuple[float, float]]:
     """Return the parts of ``base`` not covered by ``cover``."""
@@ -167,7 +168,7 @@ class GpuTimeline:
 
         intervals = [(max(k.start, window_start), min(k.end, window_end)) for k in launches]
         intervals = [(s, e) for s, e in intervals if e > s]
-        busy = _total_length(_merge_intervals(intervals))
+        busy = total_length(merge_intervals(intervals))
 
         category_time: Dict[str, float] = {}
         category_count: Dict[str, int] = {}
@@ -194,13 +195,13 @@ class GpuTimeline:
         # "exposed GPU time" for communication operators).
         category_exposed: Dict[str, float] = {}
         for category, cat_intervals in category_intervals.items():
-            own = _merge_intervals(cat_intervals)
+            own = merge_intervals(cat_intervals)
             others: List[Tuple[float, float]] = []
             for other, other_intervals in category_intervals.items():
                 if other != category:
                     others.extend(other_intervals)
-            exposed = _subtract_intervals(own, _merge_intervals(others))
-            category_exposed[category] = _total_length(exposed)
+            exposed = subtract_intervals(own, merge_intervals(others))
+            category_exposed[category] = total_length(exposed)
 
         return TimelineStats(
             wall_time_us=window,

@@ -42,23 +42,31 @@ class MetricSpec:
     ceiling: Optional[float] = None  # lower-better: hard maximum
 
 
-#: The watched subset of the BENCH payload.  Floors/ceilings mirror the
-#: assertions ``benchmarks/test_replay_throughput.py`` already makes, so
-#: the watchdog and the benchmark suite cannot disagree about the
-#: contract.  Overhead metrics are checked against their absolute
-#: ceiling only — they sit at the measurement noise floor, where
-#: relative comparisons flag jitter, not regressions.
+#: The watched subset of the BENCH payload, and the one place its perf
+#: floors and ceilings are declared: the benchmarks that write each
+#: section (``benchmarks/test_replay_throughput.py``,
+#: ``test_cluster_scale.py``, ``test_daemon_throughput.py``) assert
+#: ``check_regressions(<payload>).ok``, so the watchdog and the benchmark
+#: suite cannot disagree about the contract.  Overhead metrics are
+#: checked against their absolute ceiling only — they sit at the
+#: measurement noise floor, where relative comparisons flag jitter, not
+#: regressions.
 WATCHED_METRICS: Sequence[MetricSpec] = (
     MetricSpec("workloads.param_linear.vectorized_ops_per_sec", "higher"),
     MetricSpec("workloads.param_linear.speedup", "higher", floor=5.0),
     MetricSpec("workloads.rm.vectorized_ops_per_sec", "higher"),
+    # The vectorized executor's headline win on RM (measured ~15-30x).
     MetricSpec("workloads.rm.speedup", "higher", floor=10.0),
     MetricSpec("workloads.ddp_rm.vectorized_ops_per_sec", "higher"),
     MetricSpec("workloads.ddp_rm.speedup", "higher", floor=5.0),
     MetricSpec("profiler.overhead_pct", "lower", ceiling=5.0),
     MetricSpec("telemetry_overhead.overhead_pct", "lower", ceiling=5.0),
-    MetricSpec("cluster_scale.rank_ops_per_sec", "higher"),
-    MetricSpec("daemon_throughput.jobs_per_sec", "higher"),
+    # 1024-rank fleet (ranks x ops / sec), measured ~1,500-1,900: an
+    # order-of-magnitude margin that still catches an unusable scheduler.
+    MetricSpec("cluster_scale.rank_ops_per_sec", "higher", floor=250.0),
+    # Daemon jobs/sec under 8 clients, measured ~20: guards against a
+    # serialization or lock bottleneck dwarfing replay time.
+    MetricSpec("daemon_throughput.jobs_per_sec", "higher", floor=0.5),
 )
 
 

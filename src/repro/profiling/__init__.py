@@ -8,10 +8,10 @@ justification.
 
 Two pieces:
 
-* :class:`ProfileHook` — a :class:`~repro.core.pipeline.ReplayHook` that
-  aggregates per-operator wall time (``on_op_replayed``) and per-stage wall
-  time, hot-first, tinygrad ``ProfileOp``-style, with an opt-in atexit
-  summary.
+* :class:`ProfileHook` — a :class:`~repro.telemetry.TelemetryHook` that
+  aggregates per-operator wall time (``on_op_replayed``), hot-first,
+  tinygrad ``ProfileOp``-style, and sums its ``stage:<name>`` telemetry
+  spans into per-stage wall time, with an opt-in atexit summary.
 * :class:`ProfileReport` — the structured, versioned result, serialized
   through :mod:`repro.service.serialize` and attached to replay results by
   ``.with_profiling()`` sessions.

@@ -11,13 +11,14 @@ reads of ``time.perf_counter()`` shared across callbacks (one read per
 event, not per aggregate), and four list-cell updates; everything else
 (sorting, shares, means) happens at :meth:`ProfileHook.report` time.
 
-Stage timing is recorded as :class:`~repro.telemetry.Span` objects
-rather than private float marks: each pipeline stage becomes one
-``stage:<name>`` span on the ``profiling`` category.  Pass a shared
-:class:`~repro.telemetry.Tracer` (``session.with_telemetry()`` does) and
-the spans land on the unified timeline too; without one they stay local
-and :meth:`ProfileHook.report` aggregates them into ``stage_wall_s``
-exactly as before.
+Stage timing is not a second clock: :class:`ProfileHook` *is* a
+:class:`~repro.telemetry.TelemetryHook`, so each pipeline stage becomes
+the same ``stage:<name>`` span (category ``pipeline``) that telemetry
+records, and :attr:`ProfileReport.stage_wall_s` is the sum of those
+spans.  Without a shared tracer the spans land on a private
+:class:`~repro.telemetry.Tracer` driven by the hook's clock; a session
+that also traces hands the hook its tracer (:meth:`ProfileHook.share`)
+instead of attaching a second stage timer.
 
 The atexit summary mirrors tinygrad's ``ProfileOp`` idiom: opt-in (pass
 ``report_at_exit=True`` or set ``REPRO_PROFILE_ATEXIT=1``), written to
@@ -30,10 +31,11 @@ import atexit
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.core.pipeline import ReplayContext, ReplayHook, ReplayStage
+from repro.core.pipeline import ReplayContext, ReplayStage
 from repro.profiling.report import OpProfile, ProfileReport
+from repro.telemetry.hook import TelemetryHook
 from repro.telemetry.tracer import Span, Tracer
 
 #: Environment variable enabling the atexit summary for every hook.
@@ -56,8 +58,9 @@ def _register_atexit(hook: "ProfileHook") -> None:
         _atexit_registered = True
 
 
-class ProfileHook(ReplayHook):
-    """Aggregates per-operator and per-stage wall time during a replay.
+class ProfileHook(TelemetryHook):
+    """Aggregates per-operator wall time during a replay, on top of the
+    telemetry stage spans it inherits.
 
     Attach via ``session.with_profiling()`` (or ``pipeline.add_hook``) and
     read :meth:`report` afterwards.  One hook instance profiles one replay;
@@ -68,16 +71,12 @@ class ProfileHook(ReplayHook):
         self,
         clock: Callable[[], float] = time.perf_counter,
         report_at_exit: bool = False,
-        tracer: Optional[Tracer] = None,
     ) -> None:
+        self._own_tracer = Tracer(clock=clock)
+        super().__init__(self._own_tracer)
         self._clock = clock
-        #: Shared telemetry tracer; stage spans are published here when
-        #: one is attached (and enabled).  Profiling itself never depends
-        #: on it — spans are kept locally either way.
-        self.tracer = tracer
         #: op name -> [count, total_s, min_s, max_s]
         self._ops: Dict[str, List[float]] = {}
-        self._open_spans: Dict[str, Span] = {}
         self._stage_spans: List[Span] = []
         self._last_mark = 0.0
         self._replayed_ops = 0
@@ -91,12 +90,22 @@ class ProfileHook(ReplayHook):
         if report_at_exit or os.environ.get(ATEXIT_ENV, "") not in ("", "0"):
             _register_atexit(self)
 
+    def share(self, tracer: Tracer, rank: Optional[int] = None) -> None:
+        """Record the stage spans on ``tracer`` (stamped with ``rank``)
+        instead of the private one, so a traced session carries exactly
+        one span per stage.  A disabled tracer is ignored: profiling never
+        depends on telemetry being on."""
+        if tracer.enabled:
+            self.tracer = tracer
+            self._correlation = {} if rank is None else {"rank": rank}
+
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Forget everything observed so far (reuse across replays)."""
         self._ops.clear()
-        self._open_spans.clear()
+        self._open.clear()
         self._stage_spans.clear()
+        self._own_tracer.clear()
         self._last_mark = 0.0
         self._replayed_ops = 0
         self._measured_ops = 0
@@ -107,29 +116,15 @@ class ProfileHook(ReplayHook):
     # ReplayHook protocol
     # ------------------------------------------------------------------
     def on_stage_start(self, context: ReplayContext, stage: ReplayStage) -> None:
-        now = self._clock()
-        self._open_spans[stage.name] = Span(
-            name=f"stage:{stage.name}",
-            category="profiling",
-            wall_start_s=now,
-        )
+        super().on_stage_start(context, stage)
         if stage.name == "execute":
-            self._last_mark = now
+            self._last_mark = self._clock()
 
     def on_stage_end(self, context: ReplayContext, stage: ReplayStage) -> None:
-        span = self._open_spans.pop(stage.name, None)
-        if span is None:
-            return
-        span.wall_end_s = self._clock()
-        self._stage_spans.append(span)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.record(
-                span.name,
-                span.category,
-                wall_start_s=span.wall_start_s,
-                wall_end_s=span.wall_end_s,
-            )
+        span = self._open.get(stage.name)
+        super().on_stage_end(context, stage)
+        if span is not None:
+            self._stage_spans.append(span)
 
     def on_resume(self, context: ReplayContext) -> None:
         """Re-anchor the per-op mark when a cooperative scheduler resumes
@@ -137,6 +132,7 @@ class ProfileHook(ReplayHook):
         ranks on one thread; without re-anchoring, the first op after a
         context switch would be billed for the wall time spent replaying
         *other* ranks (the old one-thread-per-rank assumption)."""
+        super().on_resume(context)
         self._last_mark = self._clock()
 
     def on_op_replayed(self, context: ReplayContext, entry, output) -> None:
@@ -161,19 +157,11 @@ class ProfileHook(ReplayHook):
             self._measured_end = now
 
     # ------------------------------------------------------------------
-    @property
-    def stage_spans(self) -> List[Span]:
-        """Completed ``stage:<name>`` spans, in completion order."""
-        return list(self._stage_spans)
-
     def _stage_wall_seconds(self) -> Dict[str, float]:
         totals: Dict[str, float] = {}
         for span in self._stage_spans:
-            duration = span.wall_duration_s
-            if duration is None:
-                continue
             name = span.name[len("stage:"):]
-            totals[name] = totals.get(name, 0.0) + duration
+            totals[name] = totals.get(name, 0.0) + span.wall_duration_s
         return totals
 
     def report(

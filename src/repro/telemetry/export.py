@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.hardware.gpu import merge_intervals, subtract_intervals
 from repro.telemetry.tracer import Tracer
 
 #: Virtual-lane sub-indices inside one rank's block of thread lanes.
@@ -29,7 +30,7 @@ _LANE_STRIDE = 8
 _OTHER_SUB = 4
 
 #: Host-lane thread ids per span category.
-_HOST_TIDS = {"pipeline": 1, "scheduler": 2, "daemon": 3, "profiling": 4}
+_HOST_TIDS = {"pipeline": 1, "scheduler": 2, "daemon": 3}
 _HOST_OTHER_TID = 9
 _HOST_RANK_TID_BASE = 100
 
@@ -193,39 +194,6 @@ def write_chrome_trace(
 # ----------------------------------------------------------------------
 # Virtual-clock Gantt lanes from replay results
 # ----------------------------------------------------------------------
-def _merge_intervals(
-    intervals: Iterable[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    merged: List[Tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _subtract(
-    start: float, end: float, blockers: List[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    """The parts of ``[start, end)`` not covered by any blocker."""
-    exposed: List[Tuple[float, float]] = []
-    cursor = start
-    for b_start, b_end in blockers:
-        if b_end <= cursor:
-            continue
-        if b_start >= end:
-            break
-        if b_start > cursor:
-            exposed.append((cursor, min(b_start, end)))
-        cursor = max(cursor, b_end)
-        if cursor >= end:
-            break
-    if cursor < end:
-        exposed.append((cursor, end))
-    return exposed
-
-
 def record_replay_timeline(tracer: Tracer, result: Any, rank: int = 0) -> None:
     """Turn one rank's measured kernel launches into Gantt slices.
 
@@ -256,9 +224,9 @@ def record_replay_timeline(tracer: Tracer, result: Any, rank: int = 0) -> None:
             tracer.slice(
                 rank, name, "compute", launch.start, max(0.0, launch.end - launch.start)
             )
-    blockers = _merge_intervals(compute)
+    blockers = merge_intervals(compute)
     for start, end, name in comms:
-        for seg_start, seg_end in _subtract(start, end, blockers):
+        for seg_start, seg_end in subtract_intervals([(start, end)], blockers):
             tracer.slice(
                 rank, name, "exposed-comms", seg_start, max(0.0, seg_end - seg_start)
             )

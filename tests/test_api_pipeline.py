@@ -2,13 +2,12 @@
 
 Covers stage order and context threading, hook invocation, pipeline
 composition (insert/replace/skip), the fluent session builder, and the
-facade-vs-legacy equivalence guarantee: ``repro.api.replay(...)`` must
+facade-vs-pipeline equivalence guarantee: ``repro.api.replay(...)`` must
 produce byte-identical ``ReplayResultSummary`` dicts (and cache keys) to
-the deprecated ``Replayer.run()`` path.
+the bare stage pipeline (``run_replay``).
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -23,8 +22,9 @@ from repro.core.pipeline import (
     ReplayPipeline,
     ReplayPipelineError,
     ReplayStage,
+    run_replay,
 )
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.service.cache import cache_key
 from tests.conftest import make_small_rm
 
@@ -39,13 +39,11 @@ EXPECTED_ORDER = [
 ]
 
 
-def _legacy_run(capture, config):
-    """Run the deprecated Replayer path with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return Replayer(
-            capture.execution_trace, capture.profiler_trace, config
-        ).run()
+def _pipeline_run(capture, config):
+    """Run the bare stage pipeline, with no session in front of it."""
+    return run_replay(
+        capture.execution_trace, config, profiler_trace=capture.profiler_trace
+    )
 
 
 def _summary_json(result) -> str:
@@ -245,7 +243,7 @@ class TestHooks:
 
     def test_optrace_and_timing_hooks(self, small_linear_capture):
         op_trace = api.OpTraceHook()
-        timings = api.StageTimingHook()
+        timings = api.ProfileHook()
         taps = []
         result = (
             api.replay(small_linear_capture)
@@ -254,7 +252,7 @@ class TestHooks:
             .run()
         )
         assert len(op_trace.measured()) == result.replayed_ops
-        assert set(timings.durations_s) == set(EXPECTED_ORDER)
+        assert set(timings.report().stage_wall_s) == set(EXPECTED_ORDER)
         assert len(taps) == 1
         assert taps[0]["replayed_ops"] == result.replayed_ops
 
@@ -320,49 +318,29 @@ class TestReplaySession:
 
 
 # ----------------------------------------------------------------------
-# Facade <-> legacy equivalence
+# Facade <-> pipeline equivalence
 # ----------------------------------------------------------------------
 class TestEquivalenceWithLegacyReplayer:
+    """The session adds nothing to what the stage pipeline measures."""
+
     def test_param_linear_summaries_byte_identical(self, small_linear_capture):
         config = ReplayConfig(iterations=2, warmup_iterations=1)
-        legacy = _legacy_run(small_linear_capture, config)
+        bare = _pipeline_run(small_linear_capture, config)
         modern = api.replay(small_linear_capture).using(config).run()
-        assert _summary_json(modern) == _summary_json(legacy)
+        assert _summary_json(modern) == _summary_json(bare)
 
     def test_rm_summaries_byte_identical(self):
         capture = capture_workload(make_small_rm(), warmup_iterations=0)
         config = ReplayConfig(iterations=1)
-        legacy = _legacy_run(capture, config)
+        bare = _pipeline_run(capture, config)
         modern = api.replay(capture).using(config).run()
-        assert legacy.skipped_ops > 0  # RM exercises the unsupported path
-        assert _summary_json(modern) == _summary_json(legacy)
+        assert bare.skipped_ops > 0  # RM exercises the unsupported path
+        assert _summary_json(modern) == _summary_json(bare)
 
     def test_cache_keys_unchanged_across_paths(self, small_linear_capture):
         config = ReplayConfig(iterations=2)
         digest = small_linear_capture.execution_trace.digest()
         assert cache_key(digest, config) == cache_key(digest, ReplayConfig(iterations=2))
-
-    def test_legacy_run_emits_deprecation_warning(self, small_linear_capture):
-        replayer = Replayer(
-            small_linear_capture.execution_trace,
-            small_linear_capture.profiler_trace,
-            ReplayConfig(),
-        )
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            replayer.run()
-
-    def test_legacy_prebuilt_plan_respected(self, small_linear_capture):
-        replayer = Replayer(
-            small_linear_capture.execution_trace,
-            small_linear_capture.profiler_trace,
-            ReplayConfig(),
-        )
-        plan = replayer.build()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = replayer.run()
-        assert replayer.plan is plan
-        assert result.replayed_ops == len(plan.reconstructed)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.api as api
 from repro.core.comms_replay import CommReplayManager
+from repro.core.pipeline import ReplayPipeline
 from repro.core.registry import ReplaySupport
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.core.streams import StreamAssigner
 from repro.torchsim.distributed import DistributedContext
 from repro.torchsim.stream import COMM_STREAM, DEFAULT_COMPUTE_STREAM
@@ -86,19 +88,18 @@ class TestCommReplayManager:
 
 class TestReplayer:
     def test_replay_reproduces_iteration_time(self, small_linear_capture):
-        replayer = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
             ReplayConfig(iterations=1),
-        )
-        result = replayer.run()
+        ).run()
         original = small_linear_capture.iteration_time_us
         assert result.mean_iteration_time_us == pytest.approx(original, rel=0.10)
         assert result.skipped_ops == 0
         assert result.coverage.count_coverage == pytest.approx(1.0)
 
     def test_replay_system_metrics_close_to_original(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
             ReplayConfig(),
@@ -112,7 +113,7 @@ class TestReplayer:
         )
 
     def test_multiple_iterations_recorded(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
             ReplayConfig(iterations=3),
@@ -123,29 +124,29 @@ class TestReplayer:
 
     def test_unsupported_ops_skipped_and_counted(self):
         capture = capture_workload(make_small_rm(), warmup_iterations=0)
-        result = Replayer(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
+        result = api.replay(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
         assert result.skipped_ops > 0
         assert result.coverage.count_coverage < 1.0
         assert result.mean_iteration_time_us < capture.iteration_time_us
 
     def test_registering_custom_ops_improves_coverage(self, small_asr):
         capture = capture_workload(small_asr, warmup_iterations=0)
-        default_result = Replayer(
+        default_result = api.replay(
             capture.execution_trace, capture.profiler_trace, ReplayConfig()
         ).run()
         support = ReplaySupport()
         support.register_library("fairseq")
-        extended_result = Replayer(
+        extended_result = api.replay(
             capture.execution_trace, capture.profiler_trace, ReplayConfig(), support=support
         ).run()
         assert extended_result.coverage.time_coverage > default_result.coverage.time_coverage
         assert extended_result.mean_iteration_time_us > default_result.mean_iteration_time_us
 
     def test_subtrace_replay_shorter_than_full(self, small_linear_capture):
-        full = Replayer(
+        full = api.replay(
             small_linear_capture.execution_trace, small_linear_capture.profiler_trace, ReplayConfig()
         ).run()
-        forward_only = Replayer(
+        forward_only = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
             ReplayConfig(subtrace_label="## forward ##"),
@@ -155,7 +156,7 @@ class TestReplayer:
 
     def test_category_filtered_replay(self):
         capture = _distributed_rm_capture()
-        comm_only = Replayer(
+        comm_only = api.replay(
             capture.execution_trace,
             capture.profiler_trace,
             ReplayConfig(categories=["comms"], world_size=4),
@@ -167,11 +168,11 @@ class TestReplayer:
 
     def test_distributed_trace_replay_uses_world_size(self):
         capture = _distributed_rm_capture(world_size=4)
-        result = Replayer(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
+        result = api.replay(capture.execution_trace, capture.profiler_trace, ReplayConfig()).run()
         assert result.mean_iteration_time_us == pytest.approx(capture.iteration_time_us, rel=0.25)
 
     def test_profiling_can_be_disabled(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
             ReplayConfig(profile=False),
@@ -180,7 +181,7 @@ class TestReplayer:
         assert result.mean_iteration_time_us > 0
 
     def test_warmup_iterations_not_measured(self, small_linear_capture):
-        result = Replayer(
+        result = api.replay(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
             ReplayConfig(iterations=1, warmup_iterations=2),
@@ -188,9 +189,11 @@ class TestReplayer:
         assert len(result.iteration_times_us) == 1
 
     def test_build_reports_reconstruction_failures(self, small_linear_capture):
-        replayer = Replayer(
-            small_linear_capture.execution_trace, small_linear_capture.profiler_trace, ReplayConfig()
-        )
-        plan = replayer.build()
-        assert plan.reconstruction_failures == {}
-        assert len(plan.reconstructed) == len(plan.selection.supported_entries())
+        context = api.replay(
+            small_linear_capture.execution_trace,
+            small_linear_capture.profiler_trace,
+            ReplayConfig(),
+            pipeline=ReplayPipeline.build_only(),
+        ).run_context()
+        assert context.reconstruction_failures == {}
+        assert len(context.reconstructed) == len(context.selection.supported_entries())

@@ -594,6 +594,7 @@ class TestHttpApi:
     def test_unknown_route_maps_to_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as error:
             urllib.request.urlopen(f"{server.url}/nope", timeout=10)
+        error.value.close()  # the HTTPError holds the open response socket
         assert error.value.code == 404
 
 

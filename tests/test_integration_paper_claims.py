@@ -7,8 +7,9 @@ test suite guards the qualitative behaviour.
 
 import pytest
 
+import repro.api as api
 from repro.bench.harness import capture_workload, compare_workload, replay_capture
-from repro.core.replayer import ReplayConfig, Replayer
+from repro.core.replayer import ReplayConfig
 from repro.core.registry import ReplaySupport
 from repro.et.analyzer import ETAnalyzer
 from repro.et.comparator import TraceComparator
@@ -73,7 +74,7 @@ class TestFigure7Claim:
         from repro.bench.harness import run_original
 
         original = run_original(workload, device=device, iterations=1, warmup_iterations=0)
-        replay = Replayer(
+        replay = api.replay(
             capture.execution_trace, capture.profiler_trace, ReplayConfig(device=device)
         ).run()
         assert replay.mean_iteration_time_us == pytest.approx(
@@ -85,7 +86,7 @@ class TestFigure7Claim:
         capture = capture_workload(workload, device="A100", warmup_iterations=0)
         times = {}
         for device in ("CPU", "V100", "A100"):
-            replay = Replayer(
+            replay = api.replay(
                 capture.execution_trace, capture.profiler_trace, ReplayConfig(device=device)
             ).run()
             times[device] = replay.mean_iteration_time_us
@@ -109,7 +110,7 @@ class TestFigure8Claim:
                 1.0, original.mean_iteration_time_us,
                 original.timeline_stats.busy_fraction, original.timeline_stats.sm_utilization,
             )
-            replay = Replayer(
+            replay = api.replay(
                 capture.execution_trace, capture.profiler_trace,
                 ReplayConfig(device="A100", power_limit_w=limit),
             ).run()
@@ -135,7 +136,7 @@ class TestFigure10Claim:
         capture = capture_workload(workload, device="A100", warmup_iterations=0)
         replay_times = {}
         for device in ("CPU", "A100", "NewPlatform"):
-            replay = Replayer(
+            replay = api.replay(
                 capture.execution_trace, capture.profiler_trace, ReplayConfig(device=device)
             ).run()
             replay_times[device] = replay.mean_iteration_time_us

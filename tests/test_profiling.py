@@ -132,6 +132,17 @@ class TestProfileHookAggregation:
         assert report.ops == []
         assert report.ops_per_sec == 0.0
 
+    def test_reset_drops_private_stage_spans(self):
+        clock = FakeClock()
+        hook = ProfileHook(clock=clock)
+        hook.on_stage_start(_context(), _stage("execute"))
+        clock.advance(0.001)
+        hook.on_stage_end(_context(), _stage("execute"))
+        assert len(hook.tracer.spans) == 1
+        hook.reset()
+        assert hook.tracer.spans == ()
+        assert hook.report().stage_wall_s == {}
+
     def test_empty_hook_reports_cleanly(self):
         report = ProfileHook(clock=FakeClock()).report()
         assert report.replayed_ops == 0

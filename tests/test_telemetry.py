@@ -271,14 +271,25 @@ class TestSessionTelemetry:
         assert compute, "kernel Gantt slices missing"
         assert all(s.virtual_duration_us >= 0.0 for s in compute)
 
-    def test_profile_hook_publishes_spans_to_shared_tracer(self):
+    @pytest.mark.parametrize("profiling_first", [False, True])
+    def test_profiling_and_telemetry_share_one_stage_span(self, profiling_first):
         capture = api.capture(make_small_rm(), warmup_iterations=0)
         tracer = Tracer()
-        session = (
-            api.replay(capture).iterations(1).with_telemetry(tracer).with_profiling()
-        )
-        session.run()
-        assert any(s.category == "profiling" for s in tracer.spans)
+        session = api.replay(capture).iterations(1)
+        if profiling_first:
+            session.with_profiling().with_telemetry(tracer)
+        else:
+            session.with_telemetry(tracer).with_profiling()
+        result = session.run()
+
+        stage_spans = [s for s in tracer.spans if s.name.startswith("stage:")]
+        names = [s.name for s in stage_spans]
+        assert sorted(names) == sorted(f"stage:{n}" for n in session.pipeline.stage_names())
+        assert {s.category for s in stage_spans} == {"pipeline"}
+        # The profile's stage clock is those very spans.
+        assert result.profile_report.stage_wall_s == {
+            s.name[len("stage:"):]: s.wall_duration_s for s in stage_spans
+        }
 
     def test_export_trace_without_telemetry_raises(self, tmp_path):
         capture = api.capture(make_small_rm(), warmup_iterations=0)
@@ -378,6 +389,87 @@ class TestClusterChromeTrace:
         )
         # --json output on stdout stays parseable despite the trace export.
         assert json.loads(proc.stdout)["world_size"] == 4
+
+
+class TestClusterStageSpans:
+    @pytest.mark.parametrize("profiling_first", [False, True])
+    def test_one_stage_span_per_rank_and_stage(self, rm_fleet, profiling_first):
+        tracer = Tracer()
+        session = api.replay_cluster(rm_fleet).on("A100")
+        if profiling_first:
+            session.with_profiling().with_telemetry(tracer)
+        else:
+            session.with_telemetry(tracer).with_profiling()
+        report = session.run()
+
+        per_rank = {}
+        for span in tracer.spans:
+            if span.name.startswith("stage:"):
+                key = (span.correlation["rank"], span.name[len("stage:"):])
+                assert key not in per_rank, f"two stage timers for {key}"
+                per_rank[key] = span.wall_duration_s
+        assert {rank for rank, _ in per_rank} == {0, 1, 2, 3}
+        for rank, profile in report.profile_reports.items():
+            assert profile.stage_wall_s == {
+                stage: wall for (r, stage), wall in per_rank.items() if r == rank
+            }
+
+
+    def test_non_profile_factory_hook_keeps_telemetry_stage_spans(self, rm_fleet):
+        from repro.cluster.engine import ClusterReplayer
+        from repro.core.pipeline import ReplayHook
+        from repro.core.replayer import ReplayConfig
+
+        class Watcher(ReplayHook):
+            def __init__(self):
+                self.ops = 0
+
+            def on_op_replayed(self, context, entry, output):
+                self.ops += 1
+
+            def report(self, **kwargs):
+                return None
+
+        watchers = {rank: Watcher() for rank in range(4)}
+        tracer = Tracer()
+        replayer = ClusterReplayer(
+            ReplayConfig(device="A100", iterations=1),
+            profile_hook_factory=watchers.__getitem__,
+        )
+        replayer.tracer = tracer
+        replayer.replay(rm_fleet)
+
+        assert all(w.ops > 0 for w in watchers.values())
+        stage_ranks = {
+            s.correlation["rank"] for s in tracer.spans if s.name.startswith("stage:")
+        }
+        assert stage_ranks == {0, 1, 2, 3}
+
+
+class TestExposedCommAgreement:
+    """The Gantt's exposed-comms lane and ``ClusterReport.exposed_comm_us``
+    come from one interval algebra, so they agree rank by rank."""
+
+    @pytest.mark.parametrize("straggler", [False, True])
+    def test_exposed_comm_slices_match_cluster_report(self, rm_fleet, straggler):
+        from repro.hardware.gpu import merge_intervals, total_length
+
+        tracer = Tracer()
+        session = api.replay_cluster(rm_fleet).on("A100").iterations(2).with_telemetry(tracer)
+        if straggler:
+            session.configure_rank(0, device="V100")
+        report = session.run()
+
+        exposed = {}
+        for span in tracer.iter_spans("exposed-comms"):
+            exposed.setdefault(span.correlation["rank"], []).append(
+                (span.virtual_start_us, span.virtual_end_us)
+            )
+        assert len(report.ranks) == 4
+        for rank_report in report.ranks:
+            assert rank_report.exposed_comm_us > 0.0
+            lane = total_length(merge_intervals(exposed.get(rank_report.rank, [])))
+            assert lane == pytest.approx(rank_report.exposed_comm_us, rel=1e-9, abs=1e-6)
 
 
 # ----------------------------------------------------------------------
