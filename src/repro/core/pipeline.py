@@ -443,10 +443,13 @@ class ExecuteStage(ReplayStage):
 
         warmup_total = context.config.warmup_iterations
         measured_total = max(1, context.config.iterations)
+        # A single pass never reuses what the vectorizer learns, so it runs
+        # the scalar reference loop (byte-identical results either way).
+        scalar = warmup_total + measured_total == 1
 
         context.measuring = False
         for index in range(warmup_total):
-            yield from self._replay_once(context, runtime)
+            yield from self._replay_once(context, runtime, scalar)
             self._boundary(context, runtime, index + 1, 0, warmup_total, measured_total)
 
         if profiler is not None:
@@ -458,7 +461,7 @@ class ExecuteStage(ReplayStage):
         context.measuring = True
         for index in range(measured_total):
             start = runtime.synchronize()
-            replayed, skipped = yield from self._replay_once(context, runtime)
+            replayed, skipped = yield from self._replay_once(context, runtime, scalar)
             end = runtime.synchronize()
             context.iteration_times_us.append(end - start)
             context.replayed_ops += replayed
@@ -553,17 +556,19 @@ class ExecuteStage(ReplayStage):
         bookkeeping (the throughput benchmarks time exactly this)."""
         return _drain(self._replay_once(context, runtime))
 
-    def _replay_once(self, context: ReplayContext, runtime: Runtime) -> ReplaySteps:
+    def _replay_once(
+        self, context: ReplayContext, runtime: Runtime, scalar: bool = False
+    ) -> ReplaySteps:
         """Replay every selected operator once, in execution order; returns
         ``(replayed, skipped)``.
 
         Dispatches to the vectorized executor (:mod:`repro.core.vectorize`)
-        unless ``config.vectorized=False`` or an execution-graph observer is
-        recording (the fast path reproduces clocks, kernels and profiler
-        events, but not observer callbacks).  Both paths produce
-        byte-identical replay results.
+        unless ``scalar`` is set, ``config.vectorized=False`` or an
+        execution-graph observer is recording (the fast path reproduces
+        clocks, kernels and profiler events, but not observer callbacks).
+        Both paths produce byte-identical replay results.
         """
-        if getattr(context.config, "vectorized", True) and (
+        if not scalar and getattr(context.config, "vectorized", True) and (
             runtime.observer is None or not runtime.observer.enabled
         ):
             return (yield from replay_entries_vectorized(context, runtime))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.et.schema import ETNode, is_tensor_type
-from repro.torchsim.jit import CompilationUnit, CompiledFunction, build_ir, parse_ir
+from repro.torchsim.jit import CompilationUnit, CompiledFunction, build_ir, compile_ir
 from repro.torchsim.ops.registry import OperatorRegistry, global_registry
 from repro.torchsim.ops.schema import OperatorSchema, parse_schema
 
@@ -70,7 +70,7 @@ class OperatorReconstructor:
         arg_specs, tensor_positions = self._argument_specs(node, schema)
         return_type = schema.returns[0] if schema.returns else "Tensor"
         ir_text = build_ir(schema.qualified_name, arg_specs, return_type=return_type)
-        graph = parse_ir(ir_text)
+        graph = compile_ir(ir_text)
         function = self.compilation_unit.create_function(f"{schema.name}_{node.id}", graph)
         reconstructed = ReconstructedOp(
             node_id=node.id,

@@ -74,7 +74,8 @@ class ReplayConfig:
     #: ``tests/test_vectorized_equivalence.py``), which is why this field
     #: is excluded from :meth:`to_dict` and :meth:`digest` — the two modes
     #: must share cache entries.  ``False`` forces the scalar reference
-    #: path.
+    #: path; a single-pass replay (one iteration, no warm-up) takes it
+    #: either way, since no later pass would reuse a captured program.
     vectorized: bool = True
 
     # ------------------------------------------------------------------

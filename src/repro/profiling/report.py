@@ -66,7 +66,8 @@ class ProfileReport:
 
     trace_name: str = ""
     device: str = ""
-    #: Which execute path produced this profile (``ReplayConfig.vectorized``).
+    #: The replay's ``ReplayConfig.vectorized`` setting.  A single-pass
+    #: replay (one iteration, no warm-up) runs the scalar loop either way.
     vectorized: bool = True
     #: Per-op replays observed (warm-up and measured iterations alike).
     replayed_ops: int = 0

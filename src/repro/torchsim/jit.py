@@ -22,6 +22,7 @@ same dispatch path as the original ones.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import threading
 from dataclasses import dataclass, field
@@ -63,13 +64,18 @@ class IRGraph:
     constants: List[IRConstant] = field(default_factory=list)
     call: Optional[IRCall] = None
     returns: List[str] = field(default_factory=list)
+    _plan: Optional[Tuple[Tuple[str, Any], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def operand_plan(self) -> List[Tuple[str, Any]]:
+    def operand_plan(self) -> Tuple[Tuple[str, Any], ...]:
         """How to build the operator's argument list at call time.
 
-        Returns a list of ``("input", position)`` / ``("const", value)``
-        entries, one per operand, in operator-argument order.
+        Returns ``("input", position)`` / ``("const", value)`` entries, one
+        per operand, in operator-argument order.  Derived once per graph.
         """
+        if self._plan is not None:
+            return self._plan
         if self.call is None:
             raise ValueError("IR graph has no operator call")
         input_positions = {value.name: index for index, value in enumerate(self.inputs)}
@@ -82,7 +88,8 @@ class IRGraph:
                 plan.append(("const", constant_values[operand]))
             else:
                 raise ValueError(f"operand {operand} is neither an input nor a constant")
-        return plan
+        self._plan = tuple(plan)
+        return self._plan
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +156,9 @@ def build_ir(
 #: concurrent ``ast.literal_eval`` calls from replay worker threads can
 #: raise a spurious ``SystemError: AST constructor recursion depth
 #: mismatch``.  The parse is GIL-bound anyway, so serialising it costs
-#: nothing and makes threaded batch replays deterministic.
+#: nothing and makes threaded batch replays deterministic.  Replays reach
+#: the parser through :func:`compile_ir`'s memo, so the lock now guards
+#: cache misses only.
 _LITERAL_EVAL_LOCK = threading.Lock()
 
 
@@ -219,6 +228,25 @@ def parse_ir(text: str) -> IRGraph:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
+#: Distinct IR texts :func:`compile_ir` keeps per process.
+IR_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=IR_CACHE_SIZE)
+def compile_ir(text: str) -> IRGraph:
+    """Parse ``text`` and derive its operand plan, once per distinct IR text
+    per process.
+
+    Every node, rank and replay that records the same operator call builds
+    the same IR, so the graph is memoized by content.  The graph and its
+    constant payloads are shared by every caller: treat them as read-only.
+    Failures are not cached.
+    """
+    graph = parse_ir(text)
+    graph.operand_plan()
+    return graph
+
+
 class CompiledFunction:
     """A callable built from an IR graph.
 

@@ -14,6 +14,7 @@ module provides the schema data model and the parser; the IR-building and
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -142,12 +143,21 @@ def _parse_arg(text: str, kwarg_only: bool) -> SchemaArg:
     return SchemaArg(name=name.strip(), type=type_text.strip(), default=default, kwarg_only=kwarg_only)
 
 
+#: Distinct schema strings :func:`parse_schema` keeps per process.
+SCHEMA_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=SCHEMA_CACHE_SIZE)
 def parse_schema(schema_str: str) -> OperatorSchema:
     """Parse a PyTorch-style operator schema string.
 
     Raises ``ValueError`` when the string does not look like a schema, which
     is how Mystique's reconstruction step detects non-operator nodes (pure
     annotations, autograd wrappers) in the execution trace.
+
+    Memoized per process by schema string: every rank and replay of a
+    trace parses the same few schemas, and the result is frozen.  Failures
+    are not cached, so a bad string raises on every call.
     """
     match = _HEADER_RE.match(schema_str)
     if not match:

@@ -142,9 +142,9 @@ class TestExecuteStageOutsideScheduler:
         on a rendezvous; run without a scheduler it must name the collective
         it would wait on rather than wait for a peer that never arrives."""
         rendezvous = EventRendezvous(CollectiveCostModel(InterconnectSpec()), range(WORLD))
-        context = ReplayContext(
-            trace=fleet_traces[0], config=ReplayConfig(device="A100", vectorized=vectorized)
-        )
+        # Two passes: a single-pass replay runs the scalar loop either way.
+        config = ReplayConfig(device="A100", iterations=2, vectorized=vectorized)
+        context = ReplayContext(trace=fleet_traces[0], config=config)
         ReplayPipeline.build_only().run_context(context)
         SyncCollectivesStage(rendezvous).run(context)
         outcome = {}

@@ -23,6 +23,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 import repro.api as api
+from repro.core import vectorize
+from repro.core.pipeline import ExecuteStage, InitCommsStage, ReplayContext, ReplayPipeline
 from repro.core.replayer import ReplayConfig
 from repro.workloads.ddp import DistributedRunner
 from repro.workloads.param_linear import ParamLinearConfig, ParamLinearWorkload
@@ -130,12 +132,22 @@ class TestEquivalenceFixedShapes:
         )
 
     def test_single_measured_iteration_without_warmup(self, small_linear_capture):
+        # A single pass runs the scalar loop on both sides (see
+        # TestSinglePassRunsScalar); the result is still byte-identical.
+        assert_equivalent(
+            small_linear_capture.execution_trace,
+            small_linear_capture.profiler_trace,
+            iterations=1,
+            warmup=0,
+        )
+
+    def test_two_measured_iterations_without_warmup(self, small_linear_capture):
         # No warm-up means the vectorized executor captures/verifies its
         # programs *inside* the measured region — still byte-identical.
         assert_equivalent(
             small_linear_capture.execution_trace,
             small_linear_capture.profiler_trace,
-            iterations=1,
+            iterations=2,
             warmup=0,
         )
 
@@ -155,6 +167,40 @@ class TestEquivalenceFixedShapes:
 
         scalar, fast = run(False), run(True)
         assert fast.to_dict() == scalar.to_dict()
+
+
+class TestSinglePassRunsScalar:
+    """At one pass (``iterations=1, warmup=0``, the default) nothing the
+    vectorizer learns would be reused, so ``ExecuteStage.steps()`` runs the
+    scalar loop; ``replay_once`` (the throughput benchmarks' steady-state
+    pass) still runs the vectorized one."""
+
+    @staticmethod
+    def _config(vectorized: bool) -> ReplayConfig:
+        return ReplayConfig(iterations=1, warmup_iterations=0, vectorized=vectorized)
+
+    def test_single_pass_learns_no_programs(self, small_linear_capture):
+        def run(vectorized: bool) -> ReplayContext:
+            return api.replay(
+                small_linear_capture.execution_trace,
+                profiler_trace=small_linear_capture.profiler_trace,
+                config=self._config(vectorized),
+            ).run_context()
+
+        fast, scalar = run(True), run(False)
+        assert vectorize.EXTRAS_KEY not in fast.extras
+        assert fast.result.summarize().to_dict() == scalar.result.summarize().to_dict()
+
+    def test_replay_once_still_runs_vectorized(self, small_linear_capture):
+        context = ReplayContext(
+            trace=small_linear_capture.execution_trace,
+            profiler_trace=small_linear_capture.profiler_trace,
+            config=self._config(True),
+        )
+        ReplayPipeline.build_only().run_context(context)
+        InitCommsStage().run(context)
+        ExecuteStage().replay_once(context, context.runtime)
+        assert isinstance(context.extras.get(vectorize.EXTRAS_KEY), vectorize.VectorizedExecutor)
 
 
 # ----------------------------------------------------------------------
