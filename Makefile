@@ -52,18 +52,21 @@ test-insights:
 	$(PYTHON) -m pytest tests/test_insights.py -q
 	$(PYTHON) -m repro analyze --help > /dev/null
 
-# After the benchmarks refresh BENCH_replay_throughput.json, the
+# The only targets that rewrite the tracked benchmark output
+# (benchmarks/results/*.txt and BENCH_replay_throughput.json):
+# --write-results sends it into the repository instead of a pytest temp
+# dir.  After the benchmarks refresh BENCH_replay_throughput.json, the
 # regression watchdog checks it against the recorded trajectory
 # (BENCH_history.jsonl, appended with --record) and fails the target on
 # a perf drop.
 bench:
-	$(PYTHON) -m pytest benchmarks/ -q
+	$(PYTHON) -m pytest benchmarks/ -q --write-results
 	$(PYTHON) -m repro analyze regressions --record
 
 # Just the replay-engine throughput benchmark: refreshes
 # BENCH_replay_throughput.json at the repo root in a few seconds.
 bench-fast:
-	$(PYTHON) -m pytest benchmarks/test_bench_trajectory.py benchmarks/test_replay_throughput.py -q
+	$(PYTHON) -m pytest benchmarks/test_bench_trajectory.py benchmarks/test_replay_throughput.py -q --write-results
 	$(PYTHON) -m repro analyze regressions --record
 
 lint:

@@ -6,7 +6,8 @@ these files across commits, so shape drift is a breaking change.  This
 test writes a quick single-workload report through the real
 ``run_benchmark``/``write_report`` path and asserts the contract; the full
 measurement in ``test_replay_throughput.py`` (which sorts after this file)
-then overwrites the root file with the complete numbers.
+then overwrites the session's file (``bench_file``) with the complete
+numbers.
 """
 
 import json
@@ -22,9 +23,9 @@ from repro.bench.throughput import (
 WORKLOAD_KEYS = {"ops", "scalar_ops_per_sec", "vectorized_ops_per_sec", "speedup"}
 
 
-def test_bench_file_is_schema_valid_and_versioned():
+def test_bench_file_is_schema_valid_and_versioned(bench_file):
     report = run_benchmark(workloads=("param_linear",), min_seconds=0.05)
-    path = write_report(report)
+    path = write_report(report, bench_file)
 
     assert path.name == BENCH_FILENAME
     data = json.loads(path.read_text())

@@ -23,7 +23,7 @@ from benchmarks.conftest import save_report
 WORLD_SIZE = 1024
 
 
-def test_cluster_scale_1024_rank_sweep(benchmark):
+def test_cluster_scale_1024_rank_sweep(benchmark, bench_file):
     section = benchmark.pedantic(
         run_cluster_scale_benchmark,
         kwargs={"world_size": WORLD_SIZE},
@@ -31,7 +31,7 @@ def test_cluster_scale_1024_rank_sweep(benchmark):
         iterations=1,
     )
 
-    path = merge_cluster_scale(section)
+    path = merge_cluster_scale(section, bench_file)
     text = format_cluster_scale(section)
     save_report("cluster_scale", text)
     print(f"\n{text}\nwrote {path}")

@@ -25,7 +25,7 @@ CLIENTS = 8
 JOBS_PER_CLIENT = 4
 
 
-def test_daemon_throughput_8_clients(benchmark):
+def test_daemon_throughput_8_clients(benchmark, bench_file):
     section = benchmark.pedantic(
         run_daemon_throughput_benchmark,
         kwargs={"clients": CLIENTS, "jobs_per_client": JOBS_PER_CLIENT},
@@ -33,7 +33,7 @@ def test_daemon_throughput_8_clients(benchmark):
         iterations=1,
     )
 
-    path = merge_daemon_throughput(section)
+    path = merge_daemon_throughput(section, bench_file)
     text = format_daemon_throughput(section)
     save_report("daemon_throughput", text)
     print(f"\n{text}\nwrote {path}")

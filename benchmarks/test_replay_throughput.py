@@ -23,10 +23,10 @@ from repro.insights.regression import check_regressions, format_regressions
 from benchmarks.conftest import save_report
 
 
-def test_replay_throughput_trajectory(benchmark):
+def test_replay_throughput_trajectory(benchmark, bench_file):
     report = benchmark.pedantic(run_benchmark, rounds=1, iterations=1)
 
-    path = write_report(report)
+    path = write_report(report, bench_file)
     text = format_report(report)
     save_report("replay_throughput", text)
     print(f"\n{text}\nwrote {path}")

@@ -103,9 +103,13 @@ class RankReplica:
     ) -> "RankReplica":
         """Build a replica for ``trace``, with the config's ``rank`` pinned
         to the trace's recorded rank (plus optional per-rank overrides —
-        e.g. a power cap on one rank to model a straggler)."""
+        e.g. a power cap on one rank to model a straggler).
+
+        ``profile`` is pinned off: the cluster report is built from each
+        rank's summary and timeline, so a per-rank torchsim profiler trace
+        would be recorded only to be dropped."""
         rank = int(trace.metadata.get("rank", 0))
-        rank_config = dataclass_replace(config, rank=rank, **(overrides or {}))
+        rank_config = dataclass_replace(config, rank=rank, profile=False, **(overrides or {}))
         return cls(
             rank=rank,
             trace=trace,

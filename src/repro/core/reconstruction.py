@@ -12,16 +12,19 @@ the original invocation.  Following the paper:
    path as the original workload.
 
 Reconstruction happens once, during the initialisation phase of the replay,
-so it adds no per-iteration overhead (Section 4.3.4).
+so it adds no per-iteration overhead (Section 4.3.4).  The IR text is the
+op's identity: every node, rank and replay that records the same operator
+call shares one immutable :class:`ReconstructedOp` per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.et.schema import ETNode, is_tensor_type
-from repro.torchsim.jit import CompilationUnit, CompiledFunction, build_ir, compile_ir
+from repro.torchsim.jit import CompiledFunction, build_ir, compile_ir
 from repro.torchsim.ops.registry import OperatorRegistry, global_registry
 from repro.torchsim.ops.schema import OperatorSchema, parse_schema
 
@@ -30,15 +33,40 @@ class ReconstructionError(RuntimeError):
     """Raised when an operator node cannot be turned into a callable."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructedOp:
-    """The callable for one trace node plus bookkeeping metadata."""
+    """The callable for one distinct IR program plus bookkeeping metadata.
 
-    node_id: int
+    Shared by every node whose call builds the same IR text: read-only.
+    """
+
     op_name: str
     function: CompiledFunction
-    tensor_arg_positions: List[int]
+    tensor_arg_positions: Tuple[int, ...]
     ir_text: str
+
+
+#: Distinct IR programs :func:`build_op` keeps per process.
+OP_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=OP_CACHE_SIZE)
+def build_op(ir_text: str) -> ReconstructedOp:
+    """Compile ``ir_text`` into its shared :class:`ReconstructedOp`.
+
+    Tensor arguments are exactly the graph's input operands, so the op is a
+    function of the IR text alone.  Failures are not cached.
+    """
+    graph = compile_ir(ir_text)
+    function = CompiledFunction(graph.call.op_name, graph)
+    return ReconstructedOp(
+        op_name=function.op_name,
+        function=function,
+        tensor_arg_positions=tuple(
+            index for index, (kind, _) in enumerate(graph.operand_plan()) if kind == "input"
+        ),
+        ir_text=ir_text,
+    )
 
 
 class OperatorReconstructor:
@@ -46,7 +74,6 @@ class OperatorReconstructor:
 
     def __init__(self, registry: Optional[OperatorRegistry] = None):
         self.registry = registry if registry is not None else global_registry
-        self.compilation_unit = CompilationUnit()
         self._cache: Dict[int, ReconstructedOp] = {}
 
     # ------------------------------------------------------------------
@@ -67,33 +94,25 @@ class OperatorReconstructor:
         if not self.registry.has(schema.qualified_name):
             raise ReconstructionError(f"operator {schema.qualified_name} is not registered")
 
-        arg_specs, tensor_positions = self._argument_specs(node, schema)
         return_type = schema.returns[0] if schema.returns else "Tensor"
-        ir_text = build_ir(schema.qualified_name, arg_specs, return_type=return_type)
-        graph = compile_ir(ir_text)
-        function = self.compilation_unit.create_function(f"{schema.name}_{node.id}", graph)
-        reconstructed = ReconstructedOp(
-            node_id=node.id,
-            op_name=schema.qualified_name,
-            function=function,
-            tensor_arg_positions=tensor_positions,
-            ir_text=ir_text,
+        ir_text = build_ir(
+            schema.qualified_name, self._argument_specs(node, schema), return_type=return_type
         )
+        reconstructed = build_op(ir_text)
         self._cache[node.id] = reconstructed
         return reconstructed
 
     # ------------------------------------------------------------------
-    def _argument_specs(
-        self, node: ETNode, schema: OperatorSchema
-    ) -> Tuple[List[Tuple[str, str, Any]], List[int]]:
+    def _argument_specs(self, node: ETNode, schema: OperatorSchema) -> List[Tuple[str, str, Any]]:
         """Build ``(name, type, value)`` triples for :func:`build_ir`.
 
         The recorded inputs are authoritative (the schema may declare more
         trailing arguments than the call site provided); schema argument
         names are used where available, purely for IR readability.
+        Tensor-typed arguments become graph inputs, everything else a
+        constant.
         """
         specs: List[Tuple[str, str, Any]] = []
-        tensor_positions: List[int] = []
         for index, (value, type_str) in enumerate(zip(node.inputs, node.input_types)):
             if index < len(schema.args) and schema.args[index].name:
                 arg_name = schema.args[index].name
@@ -101,11 +120,10 @@ class OperatorReconstructor:
                 arg_name = f"arg{index}"
             is_tensor_like = is_tensor_type(type_str) or type_str.startswith("GenericList[Tensor")
             if is_tensor_like:
-                tensor_positions.append(index)
                 specs.append((arg_name, type_str, None))
             else:
                 specs.append((arg_name, _constant_type(type_str), value))
-        return specs, tensor_positions
+        return specs
 
     def __len__(self) -> int:
         return len(self._cache)

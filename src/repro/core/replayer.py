@@ -65,6 +65,8 @@ class ReplayConfig:
     #: the flat two-level model.  Changes collective durations, so it is
     #: part of the canonical form and the digest.
     topology: Optional[str] = None
+    #: Record a torchsim profiler trace on the result.  Cluster replays
+    #: pin it off per rank: their per-rank results are not returned.
     profile: bool = True
     #: Execution *strategy*, not replay semantics: group repeated operator
     #: invocations by (op, shape signature, dtype, stream) and replay each

@@ -88,6 +88,10 @@ def attempt_collective(
     touches is exception-safe or mutated only after the op function
     returns, so the retried op replays exactly as a blocking engine would
     have replayed it.
+
+    The signal is yielded without its traceback: a parked rank would
+    otherwise keep its callee frames alive in a reference cycle (traceback
+    -> this frame -> the signal) that only the cyclic GC can free.
     """
     while True:
         snapshot = runtime.clock_state()
@@ -95,7 +99,7 @@ def attempt_collective(
             return call()
         except RankBlocked as blocked:
             runtime.restore_clock_state(snapshot)
-            yield blocked
+            yield blocked.with_traceback(None)
 
 
 class Work:

@@ -30,6 +30,7 @@ from repro.cluster import (
     match_collectives,
 )
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked, normalize_op
+from repro.cluster.scheduler import RankCursor
 from repro.core.pipeline import (
     ExecuteStage,
     ReplayContext,
@@ -248,6 +249,62 @@ class TestClusterReplayer:
         first = replayer.replay(fleet_captures)
         second = ClusterReplayer(ReplayConfig(device="A100")).replay(fleet_captures)
         assert first.to_dict() == second.to_dict()
+
+    @pytest.mark.parametrize("iterations, warmup", [(1, 0), (3, 2)])
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_profiling_never_changes_the_report(
+        self, fleet_captures, monkeypatch, vectorized, iterations, warmup
+    ):
+        """Per-rank results are dropped after aggregation, so replicas
+        record no profiler trace, and ``profile`` cannot move the report."""
+        results = []
+        execute = ClusterReplayer._execute
+
+        def keep_results(replayer, replicas):
+            ran = execute(replayer, replicas)
+            results.extend(ran)
+            return ran
+
+        monkeypatch.setattr(ClusterReplayer, "_execute", keep_results)
+        reports = [
+            json.dumps(
+                ClusterReplayer(
+                    ReplayConfig(
+                        device="A100",
+                        iterations=iterations,
+                        warmup_iterations=warmup,
+                        vectorized=vectorized,
+                        profile=profile,
+                    )
+                )
+                .replay(fleet_captures)
+                .to_dict(),
+                sort_keys=True,
+            )
+            for profile in (True, False)
+        ]
+        assert reports[0] == reports[1]
+        assert len(results) == 2 * WORLD
+        assert all(result.profiler_trace is None for result in results)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_parked_ranks_hold_no_traceback(self, fleet_captures, monkeypatch, vectorized):
+        """A parked rank's signal carries no traceback, so it pins none of
+        the frames that raised it in a reference cycle."""
+        signals = []
+        advance = RankCursor.advance
+
+        def record(cursor):
+            signals.append(advance(cursor))
+            return signals[-1]
+
+        monkeypatch.setattr(RankCursor, "advance", record)
+        # Two passes, so the vectorized case takes the vectorized loop.
+        config = ReplayConfig(device="A100", iterations=2, vectorized=vectorized)
+        ClusterReplayer(config).replay(fleet_captures)
+        assert signals
+        assert all(isinstance(signal, RankBlocked) for signal in signals)
+        assert all(signal.__traceback__ is None for signal in signals)
 
     def test_straggler_override_shows_up_in_stall_and_critical_path(self, fleet_captures):
         base = ClusterReplayer(ReplayConfig(device="A100")).replay(fleet_captures)

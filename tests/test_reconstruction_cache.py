@@ -1,11 +1,12 @@
 """The process-wide, content-addressed operator build.
 
-``parse_schema`` is memoized by schema string and ``compile_ir`` by IR
-text, so every node, rank and replay that records the same operator call
-shares one parsed schema, one parsed graph and one operand plan.  These
-tests pin what that sharing must not change: failures still raise on
-every call, equal content gives equal callables, no replay mutates a
-shared constant, concurrent builds agree, and the caches stay bounded.
+``parse_schema`` is memoized by schema string, and ``compile_ir`` and
+``build_op`` by IR text, so every node, rank and replay that records the
+same operator call shares one parsed schema, one parsed graph, one operand
+plan and one reconstructed op.  These tests pin what that sharing must not
+change: failures still raise on every call, equal content gives the same
+op and different content a different one, no replay mutates a shared
+constant, concurrent builds agree, and the caches stay bounded.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ import threading
 import pytest
 
 import repro.api as api
-from repro.core.reconstruction import OperatorReconstructor, ReconstructionError
+from repro.core.reconstruction import (
+    OP_CACHE_SIZE,
+    OperatorReconstructor,
+    ReconstructionError,
+    build_op,
+)
 from repro.et.schema import ETNode
 from repro.torchsim.jit import IR_CACHE_SIZE, compile_ir, parse_ir
 from repro.torchsim.ops.schema import SCHEMA_CACHE_SIZE, parse_schema
@@ -25,13 +31,13 @@ from repro.workloads.ddp import DistributedRunner
 from tests.conftest import make_small_rm
 
 
-def _node(node_id: int, op_schema: str) -> ETNode:
+def _node(node_id: int, op_schema: str, p: float = 0.5) -> ETNode:
     return ETNode(
         name="aten::dropout",
         id=node_id,
         parent=0,
         op_schema=op_schema,
-        inputs=[[1, 2, 0, 64, 4, "cuda:0"], 0.5, True],
+        inputs=[[1, 2, 0, 64, 4, "cuda:0"], p, True],
         input_shapes=[[4, 16], [], []],
         input_types=["Tensor(float32)", "Double", "Bool"],
         outputs=[[3, 4, 0, 64, 4, "cuda:0"]],
@@ -61,9 +67,12 @@ def test_equal_node_content_builds_equal_callables():
     assert first.ir_text == second.ir_text
     assert first.function.graph.operand_plan() == second.function.graph.operand_plan()
     assert first.function.graph is second.function.graph  # one build, shared
-    # Per-node identity is kept.
-    assert (first.node_id, second.node_id) == (1, 2)
-    assert (first.function.name, second.function.name) == ("dropout_1", "dropout_2")
+    # One op per distinct IR program, whichever node or reconstructor asks.
+    assert first is second
+    assert isinstance(first.tensor_arg_positions, tuple)
+    other = OperatorReconstructor().reconstruct(_node(1, DROPOUT, p=0.25))
+    assert other is not first
+    assert other.ir_text != first.ir_text
 
 
 @pytest.mark.parametrize("vectorized", [False, True])
@@ -140,7 +149,8 @@ def test_concurrent_builds_agree():
 
 
 @pytest.mark.parametrize(
-    "cache, size", [(parse_schema, SCHEMA_CACHE_SIZE), (compile_ir, IR_CACHE_SIZE)]
+    "cache, size",
+    [(parse_schema, SCHEMA_CACHE_SIZE), (compile_ir, IR_CACHE_SIZE), (build_op, OP_CACHE_SIZE)],
 )
 def test_caches_are_bounded(cache, size):
     assert cache.cache_info().maxsize is not None
