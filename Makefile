@@ -20,19 +20,19 @@ test-memory:
 	$(PYTHON) -m pytest tests/test_memory_subsystem.py tests/test_property_memory.py -q
 	$(PYTHON) -m repro memory-report --help > /dev/null
 
-# Replay-throughput profiler + vectorized execute path: aggregation and
-# byte-identical-equivalence tests plus a CLI smoke run of `repro profile`.
+# Replay-throughput profiler: aggregation and serialisation tests plus a
+# CLI smoke run of `repro profile`.
 test-profiling:
-	$(PYTHON) -m pytest tests/test_profiling.py tests/test_vectorized_equivalence.py -q
+	$(PYTHON) -m pytest tests/test_profiling.py -q
 	$(PYTHON) -m repro profile --help > /dev/null
 
 # Event-driven cluster scheduler: the hypothesis property suite (the
 # scheduler's contract since the threaded oracle retired), the execute
-# loop it drives (pipeline and vectorized-equivalence suites), the
-# per-rank operator build (schema/IR parsers and their process-wide
-# caches) and the 1024-rank fleet-throughput benchmark.
+# loop it drives (pipeline suite), the per-rank operator build (schema/IR
+# parsers and their process-wide caches) and the 1024-rank
+# fleet-throughput benchmark.
 test-scheduler:
-	$(PYTHON) -m pytest tests/test_property_scheduler.py tests/test_vectorized_equivalence.py tests/test_api_pipeline.py tests/test_jit_ir.py tests/test_op_schema.py tests/test_reconstruction_cache.py benchmarks/test_cluster_scale.py -q
+	$(PYTHON) -m pytest tests/test_property_scheduler.py tests/test_api_pipeline.py tests/test_jit_ir.py tests/test_op_schema.py tests/test_reconstruction_cache.py benchmarks/test_cluster_scale.py -q
 
 # Replay daemon: job queue / REST API / pause-resume-snapshot tests, the
 # serialize round-trip suite, and a CLI smoke run of `repro serve`.

@@ -20,7 +20,7 @@ from repro.bench.throughput import (
 )
 
 #: Per-workload keys scripts parsing the trajectory rely on.
-WORKLOAD_KEYS = {"ops", "scalar_ops_per_sec", "vectorized_ops_per_sec", "speedup"}
+WORKLOAD_KEYS = {"ops", "ops_per_sec"}
 
 
 def test_bench_file_is_schema_valid_and_versioned(bench_file):
@@ -36,10 +36,7 @@ def test_bench_file_is_schema_valid_and_versioned(bench_file):
     for name, entry in data["workloads"].items():
         assert WORKLOAD_KEYS <= set(entry), name
         assert entry["ops"] > 0, name
-        assert entry["scalar_ops_per_sec"] > 0, name
-        assert entry["vectorized_ops_per_sec"] > 0, name
-        # The vectorized path must at least match the scalar loop.
-        assert entry["vectorized_ops_per_sec"] >= entry["scalar_ops_per_sec"], name
+        assert entry["ops_per_sec"] > 0, name
     # The profiler section accompanies the headline (RM) workload run.
     if "profiler" in data:
         assert data["profiler"]["baseline_ops_per_sec"] > 0

@@ -26,7 +26,7 @@ def bench_payload(ops_per_sec: float, overhead_pct: float) -> dict:
     """A minimal BENCH-shaped payload (only watched metrics matter)."""
     return {
         "workloads": {
-            "rm": {"vectorized_ops_per_sec": ops_per_sec, "speedup": 30.0},
+            "rm": {"ops_per_sec": ops_per_sec},
         },
         "telemetry_overhead": {"overhead_pct": overhead_pct},
     }

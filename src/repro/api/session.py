@@ -319,7 +319,6 @@ class ReplaySession:
             result.profile_report = self._profile_hook.report(
                 trace_name=str(context.trace.metadata.get("workload", "")),
                 device=self._config.device,
-                vectorized=getattr(self._config, "vectorized", True),
             )
         if self._tracer is not None and self._tracer.enabled:
             from repro.telemetry import record_replay_timeline

@@ -13,7 +13,7 @@ uses to regenerate every table and figure of the paper:
   (per-job tables, per-device aggregates, cache accounting) used by the
   ``repro.service`` sweep layer and CLI,
 * :mod:`~repro.bench.throughput` — the replay *engine's* own throughput
-  (scalar vs vectorized ops/sec, profiler overhead), written to the
+  (execute-loop ops/sec, profiler and telemetry overhead), written to the
   versioned ``BENCH_replay_throughput.json`` trajectory file.
 """
 

@@ -2,11 +2,11 @@
 
 Everything else under :mod:`repro.bench` measures the *simulated workload*;
 this module measures the *replay engine itself*: how many recorded
-operators per second the execute stage replays on the host, for the scalar
-reference loop versus the vectorized executor
-(:mod:`repro.core.vectorize`), plus the :class:`~repro.profiling.ProfileHook`
-per-op overhead.  ``make bench`` (or ``make bench-fast``) writes the result
-to ``BENCH_replay_throughput.json`` at the repository root so the numbers
+operators per second the execute stage replays on the host, plus the
+:class:`~repro.profiling.ProfileHook` and
+:class:`~repro.telemetry.TelemetryHook` per-op overheads.  ``make bench``
+(or ``make bench-fast``) writes the result to
+``BENCH_replay_throughput.json`` at the repository root so the numbers
 form a trajectory across commits; the schema is versioned and asserted by
 ``benchmarks/test_bench_trajectory.py``.
 
@@ -15,17 +15,14 @@ Measurement notes:
 * Throughput is measured around ``ExecuteStage.replay_once`` only — the
   build stages run once up front, then the loop replays the same selection
   repeatedly (the virtual clock just keeps advancing).  Two unmeasured
-  warm-up passes let the vectorized executor capture and verify its op
-  programs first, so the measured window reflects the steady state.
-* The headline scalar/vectorized numbers both run with
-  ``ReplayConfig(profile=False)``: the virtual profiler's ``TraceEvent``
-  construction dominates the fast path and would understate the speedup of
-  the pricing itself.  Equivalence (``tests/test_vectorized_equivalence.py``)
-  is asserted for both profile settings.
-* Profiler overhead compares the scalar loop with and without a
-  :class:`~repro.profiling.ProfileHook` attached — the hook rides the
-  ``notify = bool(context.hooks)`` branch, so the unhooked loop is the true
-  zero-overhead baseline.
+  warm-up passes come first, so the measured window reflects the steady
+  state.
+* The ops/sec numbers run with ``ReplayConfig(profile=False)``, so they
+  time the replay loop and the pricing, not the virtual profiler's
+  ``TraceEvent`` construction.
+* Hook overhead compares the loop with and without the hook attached —
+  the hook rides the ``notify = bool(context.hooks)`` branch, so the
+  unhooked loop is the true zero-overhead baseline.
 * All wall time comes from ``time.perf_counter()``
   (``scripts/check_deprecated_usage.py`` bans ``time.time`` here).
 """
@@ -49,7 +46,7 @@ from repro.et.trace import ExecutionTrace
 from repro.torchsim.profiler import ProfilerTrace
 
 #: Bump when the serialized benchmark shape changes incompatibly.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 #: Trajectory file name, written at the repository root.
 BENCH_FILENAME = "BENCH_replay_throughput.json"
@@ -75,7 +72,7 @@ PRESERVED_SECTIONS = (CLUSTER_SCALE_SECTION, DAEMON_THROUGHPUT_SECTION)
 #: Benchmarked workloads, in report order.
 BENCH_WORKLOADS = ("param_linear", "rm", "ddp_rm")
 
-#: The workload the ISSUE's >=10x speedup target is asserted on.
+#: The workload the hook-overhead sections are measured on.
 HEADLINE_WORKLOAD = "rm"
 
 
@@ -143,7 +140,6 @@ def measure_execute_throughput(
     trace: ExecutionTrace,
     profiler_trace: Optional[ProfilerTrace] = None,
     device: str = "A100",
-    vectorized: bool = True,
     hooks: Optional[Sequence[Any]] = None,
     min_seconds: float = 0.2,
     warmup_passes: int = 2,
@@ -155,10 +151,10 @@ def measure_execute_throughput(
     whole passes until ``min_seconds`` of wall time accumulate, and
     ``ops_per_sec`` comes from the *fastest* pass: external host load can
     only ever slow a pass down, so the minimum is the most accurate sample
-    and keeps the speedup assertions stable on noisy machines (same
+    and keeps the throughput figures stable on noisy machines (same
     rationale as :func:`measure_hook_overhead`).
     """
-    config = ReplayConfig(device=device, vectorized=vectorized, profile=False)
+    config = ReplayConfig(device=device, profile=False)
     context = ReplayContext(
         trace=trace,
         profiler_trace=profiler_trace,
@@ -206,11 +202,11 @@ def measure_hook_overhead(
 ) -> Dict[str, float]:
     """Per-op cost of an attached replay ``hook``.
 
-    Measured on the scalar loop (hooks ride the per-op ``notify`` branch
-    there); the unhooked loop is the zero-overhead baseline.  The two loops
-    run *interleaved* (alternating which goes first, GC off) in several
-    chunks; each chunk yields a hooked/baseline total-time ratio and the
-    reported overhead is the *minimum* chunk ratio.  External load only
+    Hooks ride the execute loop's per-op ``notify`` branch; the unhooked
+    loop is the zero-overhead baseline.  The two loops run *interleaved*
+    (alternating which goes first, GC off) in several chunks; each chunk
+    yields a hooked/baseline total-time ratio and the reported overhead is
+    the *minimum* chunk ratio.  External load only
     ever inflates a ratio — the hook cannot make a pass faster — so the
     cleanest chunk is the most accurate estimate, which keeps this number
     assertable (<5%) on noisy CI machines.  The hooked loop's throughput
@@ -219,7 +215,7 @@ def measure_hook_overhead(
     import gc
 
     def build_context(hooks: Sequence[Any]) -> ReplayContext:
-        config = ReplayConfig(device=device, vectorized=False, profile=False)
+        config = ReplayConfig(device=device, profile=False)
         context = ReplayContext(
             trace=trace,
             profiler_trace=profiler_trace,
@@ -295,9 +291,8 @@ def run_benchmark(
     workloads: Sequence[str] = BENCH_WORKLOADS,
     min_seconds: float = 0.2,
 ) -> Dict[str, Any]:
-    """Scalar vs vectorized replay throughput for every bench workload,
-    plus the profiler- and telemetry-overhead sections; the BENCH file's
-    payload."""
+    """Execute-loop throughput for every bench workload, plus the
+    profiler- and telemetry-overhead sections; the BENCH file's payload."""
     report: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "generated_by": "repro.bench.throughput",
@@ -309,19 +304,12 @@ def run_benchmark(
         trace, profiler_trace = capture_bench_workload(name, device=device)
         if name == HEADLINE_WORKLOAD:
             rm_capture = (trace, profiler_trace)
-        scalar = measure_execute_throughput(
-            trace, profiler_trace, device=device, vectorized=False,
-            min_seconds=min_seconds,
-        )
-        vectorized = measure_execute_throughput(
-            trace, profiler_trace, device=device, vectorized=True,
-            min_seconds=min_seconds,
+        measured = measure_execute_throughput(
+            trace, profiler_trace, device=device, min_seconds=min_seconds
         )
         report["workloads"][name] = {
-            "ops": int(scalar["ops"]),
-            "scalar_ops_per_sec": scalar["ops_per_sec"],
-            "vectorized_ops_per_sec": vectorized["ops_per_sec"],
-            "speedup": vectorized["ops_per_sec"] / scalar["ops_per_sec"],
+            "ops": int(measured["ops"]),
+            "ops_per_sec": measured["ops_per_sec"],
         }
     if rm_capture is not None:
         from repro.profiling import ProfileHook
@@ -369,17 +357,11 @@ def format_report(report: Dict[str, Any]) -> str:
     from repro.bench.reporting import format_table
 
     rows = [
-        [
-            name,
-            entry["ops"],
-            f"{entry['scalar_ops_per_sec']:,.0f}",
-            f"{entry['vectorized_ops_per_sec']:,.0f}",
-            f"{entry['speedup']:.1f}x",
-        ]
+        [name, entry["ops"], f"{entry['ops_per_sec']:,.0f}"]
         for name, entry in report["workloads"].items()
     ]
     text = format_table(
-        ["workload", "ops", "scalar ops/s", "vectorized ops/s", "speedup"],
+        ["workload", "ops", "ops/s"],
         rows,
         title=f"Replay-engine throughput on {report['device']}",
     )
@@ -388,14 +370,14 @@ def format_report(report: Dict[str, Any]) -> str:
         text += (
             f"\nprofiler overhead: {profiler['overhead_pct']:.1f}% "
             f"({profiler['baseline_ops_per_sec']:,.0f} -> "
-            f"{profiler['profiled_ops_per_sec']:,.0f} ops/s, scalar loop)"
+            f"{profiler['profiled_ops_per_sec']:,.0f} ops/s)"
         )
     telemetry = report.get("telemetry_overhead")
     if telemetry:
         text += (
             f"\ntelemetry overhead: {telemetry['overhead_pct']:.1f}% "
             f"({telemetry['baseline_ops_per_sec']:,.0f} -> "
-            f"{telemetry['telemetry_ops_per_sec']:,.0f} ops/s, scalar loop)"
+            f"{telemetry['telemetry_ops_per_sec']:,.0f} ops/s)"
         )
     return text
 

@@ -570,7 +570,6 @@ class ClusterReplayer:
                 profile = hook.report(
                     trace_name=str(replica.trace.metadata.get("workload", "")),
                     device=replica.config.device,
-                    vectorized=getattr(replica.config, "vectorized", True),
                 )
             report.ranks.append(
                 RankReport(

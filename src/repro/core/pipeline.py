@@ -37,7 +37,6 @@ from repro.core.registry import ReplaySupport
 from repro.core.selection import OperatorSelector, SelectionResult
 from repro.core.streams import StreamAssigner, StreamAssignment
 from repro.core.tensors import TensorManager
-from repro.core.vectorize import replay_entries_vectorized
 from repro.hardware.counters import compute_system_metrics
 from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim.distributed import DistributedContext, RankBlocked, attempt_collective
@@ -400,7 +399,7 @@ class ExecuteStage(ReplayStage):
 
     The stage is the pipeline's checkpoint boundary.  ``pause_check`` (a
     zero-argument callable) is polled at every iteration boundary — the
-    point where all of the iteration's op programs have completed — and a
+    point where all of the iteration's operators have completed — and a
     truthy return raises :class:`ReplayPaused` carrying a
     :class:`ReplayCheckpoint`.  ``resume_from`` replays a previously
     captured checkpoint: the completed iterations re-execute
@@ -443,13 +442,10 @@ class ExecuteStage(ReplayStage):
 
         warmup_total = context.config.warmup_iterations
         measured_total = max(1, context.config.iterations)
-        # A single pass never reuses what the vectorizer learns, so it runs
-        # the scalar reference loop (byte-identical results either way).
-        scalar = warmup_total + measured_total == 1
 
         context.measuring = False
         for index in range(warmup_total):
-            yield from self._replay_once(context, runtime, scalar)
+            yield from self._replay_once(context, runtime)
             self._boundary(context, runtime, index + 1, 0, warmup_total, measured_total)
 
         if profiler is not None:
@@ -461,7 +457,7 @@ class ExecuteStage(ReplayStage):
         context.measuring = True
         for index in range(measured_total):
             start = runtime.synchronize()
-            replayed, skipped = yield from self._replay_once(context, runtime, scalar)
+            replayed, skipped = yield from self._replay_once(context, runtime)
             end = runtime.synchronize()
             context.iteration_times_us.append(end - start)
             context.replayed_ops += replayed
@@ -556,26 +552,9 @@ class ExecuteStage(ReplayStage):
         bookkeeping (the throughput benchmarks time exactly this)."""
         return _drain(self._replay_once(context, runtime))
 
-    def _replay_once(
-        self, context: ReplayContext, runtime: Runtime, scalar: bool = False
-    ) -> ReplaySteps:
-        """Replay every selected operator once, in execution order; returns
-        ``(replayed, skipped)``.
-
-        Dispatches to the vectorized executor (:mod:`repro.core.vectorize`)
-        unless ``scalar`` is set, ``config.vectorized=False`` or an
-        execution-graph observer is recording (the fast path reproduces
-        clocks, kernels and profiler events, but not observer callbacks).
-        Both paths produce byte-identical replay results.
-        """
-        if not scalar and getattr(context.config, "vectorized", True) and (
-            runtime.observer is None or not runtime.observer.enabled
-        ):
-            return (yield from replay_entries_vectorized(context, runtime))
-        return (yield from self._replay_once_scalar(context, runtime))
-
-    def _replay_once_scalar(self, context: ReplayContext, runtime: Runtime) -> ReplaySteps:
-        """The reference one-op-at-a-time loop (``vectorized=False``)."""
+    def _replay_once(self, context: ReplayContext, runtime: Runtime) -> ReplaySteps:
+        """Replay every selected operator once, one at a time and in
+        execution order; returns ``(replayed, skipped)``."""
         replayed = 0
         skipped = 0
         notify = bool(context.hooks)

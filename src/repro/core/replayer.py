@@ -68,16 +68,10 @@ class ReplayConfig:
     #: Record a torchsim profiler trace on the result.  Cluster replays
     #: pin it off per rank: their per-rank results are not returned.
     profile: bool = True
-    #: Execution *strategy*, not replay semantics: group repeated operator
-    #: invocations by (op, shape signature, dtype, stream) and replay each
-    #: group from a captured program priced through the batched cost-model
-    #: entry point, instead of one Python dispatch per op.  Results and
-    #: cache digests are byte-identical either way (asserted by
-    #: ``tests/test_vectorized_equivalence.py``), which is why this field
-    #: is excluded from :meth:`to_dict` and :meth:`digest` — the two modes
-    #: must share cache entries.  ``False`` forces the scalar reference
-    #: path; a single-pass replay (one iteration, no warm-up) takes it
-    #: either way, since no later pass would reuse a captured program.
+    #: Accepted and ignored: the replay has one execute loop, so results
+    #: are the same for either value.  Kept so existing callers and stored
+    #: configs still construct; excluded from :meth:`to_dict` and
+    #: :meth:`digest`, so it never splits a cache key.
     vectorized: bool = True
 
     # ------------------------------------------------------------------
@@ -95,10 +89,9 @@ class ReplayConfig:
         nested embedding/interconnect dataclasses), so a field added later
         is automatically part of the serialised form and the digest.
 
-        ``vectorized`` is deliberately *not* part of the canonical form:
-        it selects an execution strategy with byte-identical results, and
-        including it would split the service layer's result cache into two
-        keys for one measurement.  :meth:`from_dict` still accepts it.
+        ``vectorized`` (ignored by the replay) is *not* part of the
+        canonical form, so it never splits the service layer's result
+        cache.  :meth:`from_dict` still accepts it.
         """
         data = asdict(self)
         data.pop("vectorized", None)

@@ -172,27 +172,6 @@ class TensorManager:
             if isinstance(tensor, Tensor):
                 self._registry[(ref[0], ref[1])] = tensor
 
-    def output_pairs(self, node: ETNode, result: Any) -> List[Tuple[TensorKey, Tensor]]:
-        """Precompute the registrations :meth:`register_outputs` would do.
-
-        The vectorized replay path replays the same node with the same
-        output objects every iteration; decoding the node's output refs
-        once and replaying the ``(key, tensor)`` pairs via
-        :meth:`register_pairs` skips that per-iteration decoding.
-        """
-        outputs = _normalize_result(result)
-        return [
-            ((ref[0], ref[1]), tensor)
-            for ref, tensor in zip(node.output_tensor_refs(), outputs)
-            if isinstance(tensor, Tensor)
-        ]
-
-    def register_pairs(self, pairs: Sequence[Tuple[TensorKey, Tensor]]) -> None:
-        """Apply precomputed output registrations (see :meth:`output_pairs`)."""
-        registry = self._registry
-        for key, tensor in pairs:
-            registry[key] = tensor
-
     def lookup(self, key: TensorKey) -> Optional[Tensor]:
         return self._registry.get(key)
 

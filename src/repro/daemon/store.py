@@ -23,12 +23,15 @@ order so the caller can rebuild the queue deterministically.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.daemon.jobs import JobRecord, job_sort_key
+
+logger = logging.getLogger(__name__)
 
 
 class JobStore:
@@ -62,15 +65,18 @@ class JobStore:
 
     def load_all(self) -> List[JobRecord]:
         """Every readable record, in submission order; unreadable files
-        are skipped (a torn tmp file must not wedge startup)."""
+        are skipped with a warning naming the file (a torn tmp file must
+        not wedge startup)."""
         if not self.jobs_dir.is_dir():
             return []
         records = []
         for path in sorted(self.jobs_dir.glob("*.json")):
             try:
                 records.append(JobRecord.from_dict(json.loads(path.read_text())))
-            except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                continue
+            except (OSError, json.JSONDecodeError, KeyError, ValueError) as error:
+                logger.warning(
+                    "skipping unreadable job record %s (%s)", path, type(error).__name__
+                )
         records.sort(key=job_sort_key)
         return records
 

@@ -140,18 +140,6 @@ class GpuTimeline:
     def launches(self) -> List[KernelLaunch]:
         return list(self._launches)
 
-    @property
-    def launch_count(self) -> int:
-        """Number of launches recorded so far (an O(1) cursor; the
-        vectorized replay path brackets an operator call with it to slice
-        out exactly the kernels that call enqueued)."""
-        return len(self._launches)
-
-    def launches_since(self, index: int) -> List[KernelLaunch]:
-        """The launches recorded at or after position ``index`` (a cursor
-        previously read from :attr:`launch_count`)."""
-        return self._launches[index:]
-
     # ------------------------------------------------------------------
     def stats(self, window_start: float = 0.0, window_end: Optional[float] = None) -> TimelineStats:
         """Aggregate the resolved timeline into :class:`TimelineStats`.

@@ -2,9 +2,7 @@
 
 Everything else in the package profiles the *simulated workload* on a
 virtual clock; this package profiles the *replay engine itself* on the
-host's real clock, so regressions in replay throughput are visible and the
-vectorized execute path (:mod:`repro.core.vectorize`) has measured
-justification.
+host's real clock, so regressions in replay throughput are visible.
 
 Two pieces:
 

@@ -86,7 +86,6 @@ class ProfileHook(TelemetryHook):
         #: Metadata for the report, filled by whoever owns the hook.
         self.trace_name = ""
         self.device = ""
-        self.vectorized = True
         if report_at_exit or os.environ.get(ATEXIT_ENV, "") not in ("", "0"):
             _register_atexit(self)
 
@@ -168,7 +167,6 @@ class ProfileHook(TelemetryHook):
         self,
         trace_name: Optional[str] = None,
         device: Optional[str] = None,
-        vectorized: Optional[bool] = None,
     ) -> ProfileReport:
         """Aggregate everything observed so far into a structured report."""
         total_s = sum(cell[1] for cell in self._ops.values())
@@ -193,7 +191,6 @@ class ProfileHook(TelemetryHook):
         return ProfileReport(
             trace_name=self.trace_name if trace_name is None else trace_name,
             device=self.device if device is None else device,
-            vectorized=self.vectorized if vectorized is None else vectorized,
             replayed_ops=self._replayed_ops,
             measured_ops=self._measured_ops,
             stage_wall_s=self._stage_wall_seconds(),

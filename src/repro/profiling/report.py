@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 #: Bump when the serialized report shape changes incompatibly.
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -66,9 +66,6 @@ class ProfileReport:
 
     trace_name: str = ""
     device: str = ""
-    #: The replay's ``ReplayConfig.vectorized`` setting.  A single-pass
-    #: replay (one iteration, no warm-up) runs the scalar loop either way.
-    vectorized: bool = True
     #: Per-op replays observed (warm-up and measured iterations alike).
     replayed_ops: int = 0
     #: Per-op replays observed during measured iterations only.
@@ -95,7 +92,6 @@ class ProfileReport:
             "schema_version": self.schema_version,
             "trace_name": self.trace_name,
             "device": self.device,
-            "vectorized": self.vectorized,
             "replayed_ops": self.replayed_ops,
             "measured_ops": self.measured_ops,
             "stage_wall_s": dict(self.stage_wall_s),
@@ -106,10 +102,11 @@ class ProfileReport:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ProfileReport":
+        # Keys that older schema versions carried and this one dropped are
+        # ignored.
         return cls(
             trace_name=data.get("trace_name", ""),
             device=data.get("device", ""),
-            vectorized=bool(data.get("vectorized", True)),
             replayed_ops=int(data.get("replayed_ops", 0)),
             measured_ops=int(data.get("measured_ops", 0)),
             stage_wall_s={
@@ -127,8 +124,7 @@ class ProfileReport:
         header = (
             f"replay profile: {self.trace_name or '<trace>'} on "
             f"{self.device or '<device>'} "
-            f"({'vectorized' if self.vectorized else 'scalar'}, "
-            f"{self.ops_per_sec:,.0f} ops/sec, "
+            f"({self.ops_per_sec:,.0f} ops/sec, "
             f"execute {self.execute_wall_s * 1e3:.1f} ms)"
         )
         lines = [header]

@@ -24,8 +24,7 @@ Seven subcommands drive the service layer:
 ``profile``
     Profile the replay *engine itself* per trace (host wall time per
     operator, replay throughput in ops/sec) — the :mod:`repro.profiling`
-    hot-first summary; ``--scalar`` profiles the scalar execute path for
-    comparison against the vectorized default.  Also reachable as
+    hot-first summary.  Also reachable as
     ``replay --profile`` (which replays sequentially through the session
     API, bypassing the worker pool and the result cache).
 ``version``
@@ -213,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument("--device", default="A100", help="device spec name (default: A100)")
     _add_config_arguments(profile_parser)
-    profile_parser.add_argument(
-        "--scalar", action="store_true",
-        help="profile the scalar execute path instead of the vectorized default",
-    )
     profile_parser.add_argument(
         "--top", type=int, default=20, metavar="N",
         help="operator rows per hot-first table (default: 20)",
@@ -694,7 +689,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             args.device,
             iterations=args.iterations,
             warmup=args.warmup,
-            vectorized=not getattr(args, "scalar", False),
         )
     except (ValueError, KeyError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -716,7 +710,6 @@ def _profile_traces(
     device: str,
     iterations: int,
     warmup: int,
-    vectorized: bool,
 ):
     """Replay the named repository traces with a profiling hook attached."""
     repository = TraceRepository(repo)
@@ -727,12 +720,7 @@ def _profile_traces(
         raise ValueError(
             f"trace(s) {unknown} not found in {repo!r} (known: {sorted(records)})"
         )
-    config = ReplayConfig(
-        device=device,
-        iterations=iterations,
-        warmup_iterations=warmup,
-        vectorized=vectorized,
-    )
+    config = ReplayConfig(device=device, iterations=iterations, warmup_iterations=warmup)
     reports = {}
     for name in names:
         result = api.replay(repository.load(name)).using(config).with_profiling().run()

@@ -168,22 +168,7 @@ class Runtime:
 
     # ------------------------------------------------------------------
     # ID allocation
-    #
-    # Node and correlation IDs are plain integer cursors (not opaque
-    # iterators) so the vectorized replay path can reserve a block of IDs
-    # for a pre-captured operator program and reproduce the exact IDs the
-    # scalar path would have assigned.
     # ------------------------------------------------------------------
-    @property
-    def node_cursor(self) -> int:
-        """The next execution-trace node ID that will be assigned."""
-        return self._next_node_id
-
-    @property
-    def correlation_cursor(self) -> int:
-        """The next kernel-launch correlation ID that will be assigned."""
-        return self._next_correlation_id
-
     def take_node_id(self) -> int:
         node_id = self._next_node_id
         self._next_node_id += 1
@@ -193,12 +178,6 @@ class Runtime:
         correlation_id = self._next_correlation_id
         self._next_correlation_id += 1
         return correlation_id
-
-    def reserve_node_ids(self, count: int) -> int:
-        """Claim ``count`` consecutive node IDs; returns the first one."""
-        base = self._next_node_id
-        self._next_node_id += count
-        return base
 
     def cpu_clocks(self) -> Dict[str, float]:
         """Snapshot of every CPU thread's clock (microseconds)."""

@@ -137,14 +137,12 @@ class TestEventRendezvous:
 # The execute loop outside the scheduler
 # ----------------------------------------------------------------------
 class TestExecuteStageOutsideScheduler:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_blocked_collective_raises_instead_of_hanging(self, fleet_traces, vectorized):
+    def test_blocked_collective_raises_instead_of_hanging(self, fleet_traces):
         """The execute loop is the scheduler's rank cursor, so it can block
         on a rendezvous; run without a scheduler it must name the collective
         it would wait on rather than wait for a peer that never arrives."""
         rendezvous = EventRendezvous(CollectiveCostModel(InterconnectSpec()), range(WORLD))
-        # Two passes: a single-pass replay runs the scalar loop either way.
-        config = ReplayConfig(device="A100", iterations=2, vectorized=vectorized)
+        config = ReplayConfig(device="A100", iterations=2)
         context = ReplayContext(trace=fleet_traces[0], config=config)
         ReplayPipeline.build_only().run_context(context)
         SyncCollectivesStage(rendezvous).run(context)
@@ -164,13 +162,12 @@ class TestExecuteStageOutsideScheduler:
         assert isinstance(error, ReplayPipelineError)
         assert re.search(r"collective \w+\[0\] over ranks \[0, 1, 2, 3\]", str(error))
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_throughput_replay_once_path_replays_ops(self, fleet_traces, vectorized):
+    def test_throughput_replay_once_path_replays_ops(self, fleet_traces):
         """The throughput benchmark times ``ExecuteStage.replay_once``; it
         must really replay (a generator that is never driven times
         nothing)."""
         result = measure_execute_throughput(
-            fleet_traces[0], vectorized=vectorized, min_seconds=0.01, warmup_passes=1
+            fleet_traces[0], min_seconds=0.01, warmup_passes=1
         )
         assert result["ops"] > 0
         assert result["passes"] >= 1
@@ -251,6 +248,7 @@ class TestClusterReplayer:
         assert first.to_dict() == second.to_dict()
 
     @pytest.mark.parametrize("iterations, warmup", [(1, 0), (3, 2)])
+    # ``vectorized`` is an accepted, ignored field: either value must replay alike.
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_profiling_never_changes_the_report(
         self, fleet_captures, monkeypatch, vectorized, iterations, warmup
@@ -299,7 +297,6 @@ class TestClusterReplayer:
             return signals[-1]
 
         monkeypatch.setattr(RankCursor, "advance", record)
-        # Two passes, so the vectorized case takes the vectorized loop.
         config = ReplayConfig(device="A100", iterations=2, vectorized=vectorized)
         ClusterReplayer(config).replay(fleet_captures)
         assert signals

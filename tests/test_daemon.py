@@ -16,6 +16,7 @@ scenarios:
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 import urllib.request
@@ -243,6 +244,24 @@ class TestJobStore:
         store.save(self.make_record("j1"))
         (store.jobs_dir / "torn.json").write_text("{ not json")
         assert [record.id for record in store.load_all()] == ["j1"]
+
+    def test_truncated_record_is_logged_and_recovery_keeps_the_rest(
+        self, tmp_path, caplog
+    ):
+        store = JobStore(tmp_path)
+        store.save(self.make_record("j1", state="running", seq=1))
+        good = store.save(self.make_record("j2", seq=2))
+        truncated = store.jobs_dir / "j3.json"
+        truncated.write_text(good.read_text()[:40])
+        with caplog.at_level(logging.WARNING, logger="repro.daemon.store"):
+            recovered = store.recover()
+        assert [(record.id, record.state) for record in recovered] == [
+            ("j1", "queued"), ("j2", "queued"),
+        ]
+        skipped = [r.getMessage() for r in caplog.records if r.name == "repro.daemon.store"]
+        assert len(skipped) == 1
+        assert str(truncated) in skipped[0]
+        assert "JSONDecodeError" in skipped[0]
 
     def test_load_all_orders_by_submission(self, tmp_path):
         store = JobStore(tmp_path)

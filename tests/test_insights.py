@@ -313,25 +313,25 @@ class TestRegressionWatchdog:
 
     def test_seeded_drop_fails_on_hard_floor(self):
         bench = _repo_bench()
-        bench["workloads"]["rm"]["speedup"] = 1.5  # contract floor is 10x
+        bench["cluster_scale"]["rank_ops_per_sec"] = 100.0  # contract floor is 250
         report = check_regressions(bench)
         assert not report.ok
         assert [c.metric for c in report.regressions] == [
-            "workloads.rm.speedup"
+            "cluster_scale.rank_ops_per_sec"
         ]
         assert "below hard floor" in report.regressions[0].detail
 
     def test_relative_drop_vs_history_median(self):
         history = [
-            {"workloads": {"rm": {"vectorized_ops_per_sec": v}}}
+            {"workloads": {"rm": {"ops_per_sec": v}}}
             for v in (90.0, 100.0, 110.0)
         ]
-        fast = {"workloads": {"rm": {"vectorized_ops_per_sec": 80.0}}}
-        slow = {"workloads": {"rm": {"vectorized_ops_per_sec": 50.0}}}
+        fast = {"workloads": {"rm": {"ops_per_sec": 80.0}}}
+        slow = {"workloads": {"rm": {"ops_per_sec": 50.0}}}
         assert check_regressions(fast, history=history).ok
         report = check_regressions(slow, history=history)
         failed = {c.metric for c in report.regressions}
-        assert failed == {"workloads.rm.vectorized_ops_per_sec"}
+        assert failed == {"workloads.rm.ops_per_sec"}
         assert "vs history median 100.000" in report.regressions[0].detail
 
     def test_overhead_checks_absolute_ceiling_only(self):
@@ -359,12 +359,12 @@ class TestRegressionWatchdog:
     def test_trajectory_store_round_trip(self, tmp_path):
         store = TrajectoryStore(tmp_path / "history.jsonl")
         assert store.entries() == []
-        store.append({"workloads": {"rm": {"speedup": 30.0}}})
-        store.append({"workloads": {"rm": {"speedup": 31.0}}}, meta={"ci": True})
+        store.append({"workloads": {"rm": {"ops_per_sec": 30.0}}})
+        store.append({"workloads": {"rm": {"ops_per_sec": 31.0}}}, meta={"ci": True})
         entries = store.entries()
         assert [e["seq"] for e in entries] == [1, 2]
         assert entries[1]["meta"] == {"ci": True}
-        assert [h["workloads"]["rm"]["speedup"] for h in store.history()] == [
+        assert [h["workloads"]["rm"]["ops_per_sec"] for h in store.history()] == [
             30.0,
             31.0,
         ]
@@ -462,7 +462,7 @@ class TestAnalyzeCli:
         from repro.service.cli import main
 
         seeded = _repo_bench()
-        seeded["workloads"]["ddp_rm"]["speedup"] = 0.5
+        seeded["daemon_throughput"]["jobs_per_sec"] = 0.1  # contract floor is 0.5
         bench = tmp_path / "bench.json"
         bench.write_text(json.dumps(seeded))
         code = main(

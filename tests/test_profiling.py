@@ -69,7 +69,7 @@ class TestProfileHookAggregation:
         clock.advance(0.0005)
         hook.on_stage_end(context, _stage("execute"))
 
-        report = hook.report(trace_name="t", device="A100", vectorized=False)
+        report = hook.report(trace_name="t", device="A100")
         assert report.replayed_ops == 3
         assert report.measured_ops == 3
         assert [op.name for op in report.ops] == ["aten::mm", "aten::relu"]
@@ -204,19 +204,22 @@ class TestWithProfiling:
         assert report.replayed_ops == 3 * per_pass
         assert report.measured_ops == result.replayed_ops
         assert report.ops_per_sec > 0
-        assert report.vectorized is True
         assert report.device == "A100"
         assert report.trace_name == "param_linear"
         assert set(report.stage_wall_s) >= {"select", "reconstruct", "execute", "measure"}
 
-    def test_session_report_respects_scalar_config(self, small_linear_capture):
-        result = (
-            api.replay(small_linear_capture)
-            .configure(vectorized=False)
-            .with_profiling()
-            .run()
-        )
-        assert result.profile_report.vectorized is False
+    def test_session_report_ignores_vectorized_config(self, small_linear_capture):
+        def run(vectorized: bool):
+            return (
+                api.replay(small_linear_capture)
+                .configure(vectorized=vectorized)
+                .with_profiling()
+                .run()
+            )
+
+        fast, scalar = run(True), run(False)
+        assert fast.summarize() == scalar.summarize()
+        assert "vectorized" not in scalar.profile_report.to_dict()
 
     def test_cluster_profiling_reports_every_rank(self):
         from repro.workloads.ddp import DistributedRunner
@@ -260,7 +263,7 @@ class TestProfileReportSerialisation:
             clock.advance(delta)
             hook.on_op_replayed(_context(), _entry(name), None)
         hook.on_stage_end(_context(), _stage("execute"))
-        return hook.report(trace_name="rm", device="V100", vectorized=False)
+        return hook.report(trace_name="rm", device="V100")
 
     def test_round_trip_through_service_serializer(self):
         report = self._sample_report()
@@ -274,11 +277,18 @@ class TestProfileReportSerialisation:
     def test_to_dict_carries_the_parsed_keys(self):
         data = self._sample_report().to_dict()
         assert {
-            "schema_version", "trace_name", "device", "vectorized",
+            "schema_version", "trace_name", "device",
             "replayed_ops", "measured_ops", "stage_wall_s", "execute_wall_s",
             "ops_per_sec", "ops",
         } <= set(data)
         assert all(isinstance(op["count"], int) for op in data["ops"])
+
+    def test_from_dict_ignores_the_schema_1_vectorized_key(self):
+        report = self._sample_report()
+        data = {**report.to_dict(), "schema_version": 1, "vectorized": False}
+        rebuilt = ProfileReport.from_dict(data)
+        assert "vectorized" not in rebuilt.to_dict()
+        assert rebuilt.ops == report.ops
 
     def test_op_profile_round_trip(self):
         op = OpProfile(

@@ -75,13 +75,13 @@ def test_equal_node_content_builds_equal_callables():
     assert other.ir_text != first.ir_text
 
 
+# ``vectorized`` is an accepted, ignored field: either value must replay alike.
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_replays_leave_shared_collective_constants_untouched(vectorized):
     captures = DistributedRunner(
         lambda rank, world_size: make_small_rm(rank, world_size), world_size=4
     ).run()
-    # Two measured passes after a warm-up, so the vectorized run really
-    # takes the vectorized loop (a single pass runs the scalar one).
+    # Two measured passes after a warm-up: every pass reuses the shared ops.
     api.replay_cluster(captures).configure(vectorized=vectorized).iterations(2, warmup=1).run()
 
     collectives = [

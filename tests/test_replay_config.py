@@ -1,13 +1,18 @@
-"""Tests for ReplayConfig identity hardening: strict digests and
-unknown-key reporting in ``from_dict``."""
+"""Tests for ReplayConfig identity hardening: strict digests,
+unknown-key reporting in ``from_dict``, and the ignored ``vectorized``
+field."""
 
 import logging
 
 import pytest
 
+import repro.api as api
 from repro.core.replayer import ReplayConfig
 from repro.hardware.network import InterconnectSpec
 from repro.core.tensors import EmbeddingValueConfig
+from repro.workloads.ddp import DistributedRunner
+
+from tests.conftest import make_small_rm
 
 
 class TestDigestStrictness:
@@ -67,3 +72,39 @@ class TestFromDictUnknownKeys:
         config = ReplayConfig.from_dict({"device": "V100"}, strict=True)
         assert config.iterations == ReplayConfig().iterations
         assert config.embedding_config == EmbeddingValueConfig()
+
+
+class TestCacheIdentity:
+    """``vectorized`` is accepted and ignored, so it must never split a
+    cache key."""
+
+    def test_vectorized_is_excluded_from_canonical_form(self):
+        assert "vectorized" not in ReplayConfig().to_dict()
+        assert "vectorized" not in ReplayConfig(vectorized=False).to_dict()
+
+    def test_both_modes_share_one_cache_digest(self):
+        fast = ReplayConfig(device="V100", iterations=3, vectorized=True)
+        scalar = ReplayConfig(device="V100", iterations=3, vectorized=False)
+        assert fast.digest() == scalar.digest()
+
+    def test_from_dict_still_accepts_vectorized(self):
+        config = ReplayConfig.from_dict({"vectorized": False})
+        assert config.vectorized is False
+
+
+class TestIgnoredVectorizedField:
+    def test_cluster_replay_is_identical_either_way(self):
+        runner = DistributedRunner(
+            lambda rank, world_size: make_small_rm(rank, world_size), world_size=2
+        )
+        captures = runner.run()
+
+        def run(vectorized: bool):
+            return (
+                api.replay_cluster(captures)
+                .configure(vectorized=vectorized)
+                .iterations(2, warmup=1)
+                .run()
+            )
+
+        assert run(True).to_dict() == run(False).to_dict()
