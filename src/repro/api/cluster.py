@@ -48,7 +48,6 @@ class ClusterSession:
         self._config = config if config is not None else ReplayConfig()
         self._support = support
         self._rank_overrides: Dict[int, Dict[str, Any]] = {}
-        self._strict_match = True
         self._track_memory = False
         self._memory_budget: Optional[Any] = None
         self._profile = False
@@ -190,15 +189,6 @@ class ClusterSession:
         return write_chrome_trace(self._tracer, Path(path))
 
     # ------------------------------------------------------------------
-    # Execution policy
-    # ------------------------------------------------------------------
-    def lenient_match(self) -> "ClusterSession":
-        """Attempt the replay even when the pre-flight collective match
-        reports unmatched collectives (they then fail at rendezvous time)."""
-        self._strict_match = False
-        return self
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> ClusterReport:
@@ -214,7 +204,6 @@ class ClusterSession:
 
         replayer = ClusterReplayer(
             config=self._config,
-            strict_match=self._strict_match,
             support=self._support,
             track_memory=self._track_memory,
             memory_budget=self._memory_budget,

@@ -31,7 +31,6 @@ from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult, ReplayResultSummary
 from repro.et.trace import ExecutionTrace
 from repro.torchsim.profiler import ProfilerTrace
-from repro.torchsim.runtime import Runtime
 
 #: What :func:`repro.api.replay` accepts as a replay source.
 ReplaySource = Union[ExecutionTrace, str, Path, "CaptureResult"]  # noqa: F821
@@ -63,7 +62,6 @@ class ReplaySession:
         self._config = config
         self._support = support
         self._pipeline = (pipeline if pipeline is not None else ReplayPipeline.default()).clone()
-        self._runtime: Optional[Runtime] = None
         self._profile_hook: Optional[Any] = None
         self._stage_timer: Optional[Any] = None
         self._tracer: Optional[Any] = None
@@ -127,12 +125,6 @@ class ReplaySession:
     def with_profiler(self, profiler_trace: Optional[ProfilerTrace]) -> "ReplaySession":
         """Profiler trace guiding stream placement (``None`` to drop it)."""
         self._profiler_trace = profiler_trace
-        return self
-
-    def with_runtime(self, runtime: Runtime) -> "ReplaySession":
-        """Inject a pre-built runtime instead of letting the init-comms
-        stage create one (advanced; e.g. to share a simulated cluster)."""
-        self._runtime = runtime
         return self
 
     def with_memory(
@@ -308,7 +300,6 @@ class ReplaySession:
             profiler_trace=self._profiler_trace,
             config=self._config,
             support=self._support,
-            runtime=self._runtime,
         )
 
     def run(self) -> ReplayResult:

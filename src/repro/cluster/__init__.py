@@ -9,11 +9,12 @@ overlap first-class measurements:
   collective across ranks by (process-group ranks, sequence id, operator
   name), prices it once, and releases all participants at the same
   virtual completion time;
-* :class:`~repro.cluster.replica.RankReplica` runs one rank's stage
-  pipeline with the rendezvous-aware
-  :class:`~repro.cluster.replica.SyncCollectivesStage`;
+* each rank is a plain :class:`~repro.core.pipeline.ReplayContext`, run
+  through the standard stage pipeline whose ``init-comms`` stage attaches
+  the shared rendezvous;
 * :class:`~repro.cluster.scheduler.VirtualTimeScheduler` advances every
-  rank's op cursor on a single thread, parking cursors on unresolved
+  rank's op cursor (:class:`~repro.cluster.scheduler.RankCursor`) on a
+  single thread, parking cursors on unresolved
   collectives and waking them when the rendezvous resolves — this is what
   lets one process co-replay thousands of ranks (and, via its
   ``interrupt`` hook, lets the daemon pause a cluster job at a
@@ -37,7 +38,6 @@ from repro.cluster.engine import (
     RankReport,
     match_collectives,
 )
-from repro.cluster.replica import RankReplica, SyncCollectivesStage
 from repro.cluster.rendezvous import (
     CollectiveEvent,
     CollectiveSyncError,
@@ -59,10 +59,8 @@ __all__ = [
     "EventRendezvous",
     "RankBlocked",
     "RankCursor",
-    "RankReplica",
     "RankReport",
     "RendezvousStats",
-    "SyncCollectivesStage",
     "VirtualTimeScheduler",
     "match_collectives",
 ]

@@ -9,10 +9,10 @@ virtual-time collective scheduler:
    matched across ranks by (process-group ranks, sequence number, operator
    name) *before* anything replays, so a malformed fleet fails with a
    precise report instead of a mid-replay stall.
-2. **Event loop**: one :class:`~repro.cluster.replica.RankReplica` per
-   trace, each running the standard stage pipeline (with the
-   rendezvous-aware ``sync-collectives`` stage) as an op *cursor* advanced
-   by the single-threaded
+2. **Event loop**: one :class:`~repro.core.pipeline.ReplayContext` per
+   trace, all run through one shared stage pipeline (whose ``init-comms``
+   stage attaches the rendezvous) as op *cursors* advanced by the
+   single-threaded
    :class:`~repro.cluster.scheduler.VirtualTimeScheduler` — a cursor parks
    when its next collective cannot resolve yet and is woken when the
    :class:`~repro.cluster.rendezvous.EventRendezvous` resolves the slot,
@@ -30,17 +30,23 @@ asserted in ``tests/test_cluster_replay.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dataclass_replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.comms_replay import CommReplayManager
+from repro.core.pipeline import (
+    InitCommsStage,
+    ReplayContext,
+    ReplayPipeline,
+    TrackMemoryStage,
+    make_collective_cost_model,
+)
 from repro.core.registry import ReplaySupport
 from repro.core.replayer import ReplayConfig, ReplayResult, ReplayResultSummary
 from repro.cluster.rendezvous import CollectiveKey, EventRendezvous, normalize_op
-from repro.cluster.replica import RankReplica
+from repro.cluster.scheduler import RankCursor, VirtualTimeScheduler
 from repro.et.trace import ExecutionTrace
-from repro.hardware.network import CollectiveCostModel, InterconnectSpec
 from repro.torchsim.profiler import ProfilerTrace
 
 #: What :meth:`ClusterReplayer.replay` accepts per rank: a trace, a path to
@@ -314,28 +320,24 @@ class ClusterReplayer:
     Parameters
     ----------
     config:
-        Base :class:`ReplayConfig` every replica runs under; each replica
-        gets its ``rank`` pinned to its trace's recorded rank.  The
+        Base :class:`ReplayConfig` every rank runs under; each rank gets
+        its ``rank`` pinned to its trace's recorded rank.  The
         interconnect / comm-delay / topology fields also parameterise the
         shared collective cost model.
-    strict_match:
-        Raise :class:`ClusterMatchError` when the pre-flight match finds
-        unmatched collectives (default); pass ``False`` to attempt the
-        replay anyway (mismatched collectives then fail at rendezvous
-        time).
+
+    A fleet whose collectives the pre-flight match cannot pair up raises
+    :class:`ClusterMatchError` before anything replays.
     """
 
     def __init__(
         self,
         config: Optional[ReplayConfig] = None,
-        strict_match: bool = True,
         support: Optional[ReplaySupport] = None,
         track_memory: bool = False,
         memory_budget: Optional[Any] = None,
         profile_hook_factory: Optional[Callable[[int], Any]] = None,
     ) -> None:
         self.config = config if config is not None else ReplayConfig()
-        self.strict_match = strict_match
         self.support = support
         #: Optional scheduler pick function: chooses which runnable cursor
         #: advances next.  Reports are pick-order independent; the property
@@ -423,26 +425,37 @@ class ClusterReplayer:
             )
 
         match = match_collectives(fleet)
-        if self.strict_match and not match.ok:
+        if not match.ok:
             raise ClusterMatchError(
                 "collectives cannot be matched across the fleet:\n  "
                 + "\n  ".join(match.unmatched)
             )
 
+        # The cost model is built exactly the way each rank's own runtime
+        # builds it, so a one-rank fleet prices every collective identically
+        # to the single-rank pipeline.
         rendezvous = EventRendezvous(
-            cost_model=self._cost_model(),
+            cost_model=make_collective_cost_model(self.config),
             participants=ranks,
         )
+        # One pipeline for the whole fleet (stages keep no per-replay
+        # state).  OOMs are recorded on the per-rank report, never raised:
+        # one over-budget rank must not deadlock the fleet's rendezvous.
+        pipeline = ReplayPipeline.default().replace("init-comms", InitCommsStage(rendezvous))
+        if self.track_memory:
+            pipeline.insert_after(
+                "assign-streams", TrackMemoryStage(budget=self.memory_budget, on_oom="record")
+            )
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         profile_hooks: Dict[int, Any] = {}
-        replicas = []
+        cursors = []
         for trace, profiler in zip(fleet, profilers):
             rank = int(trace.metadata.get("rank", 0))
-            hooks: Tuple[Any, ...] = ()
+            hooks: List[Any] = []
             profile_hook = None
             if self.profile_hook_factory is not None:
                 profile_hook = profile_hooks[rank] = self.profile_hook_factory(rank)
-                hooks = (profile_hook,)
+                hooks.append(profile_hook)
             if tracer is not None:
                 # One stage timer per rank: a ProfileHook is a TelemetryHook,
                 # so it records the rank's stage spans onto the shared
@@ -453,23 +466,24 @@ class ClusterReplayer:
                 if isinstance(profile_hook, ProfileHook):
                     profile_hook.share(tracer, rank=rank)
                 else:
-                    hooks += (TelemetryHook(tracer, rank=rank),)
-            replicas.append(
-                RankReplica.from_trace(
-                    trace,
-                    rendezvous,
-                    self.config,
-                    profiler_trace=profiler,
-                    overrides=(rank_overrides or {}).get(rank),
-                    support=self.support,
-                    hooks=hooks,
-                    track_memory=self.track_memory,
-                    memory_budget=self.memory_budget,
-                )
+                    hooks.append(TelemetryHook(tracer, rank=rank))
+            # ``profile`` is pinned off: the report is built from each
+            # rank's summary and timeline, so a per-rank profiler trace
+            # would be recorded only to be dropped.
+            config = dataclass_replace(
+                self.config, rank=rank, profile=False, **(rank_overrides or {}).get(rank, {})
             )
+            context = ReplayContext(
+                trace=trace,
+                config=config,
+                profiler_trace=profiler,
+                support=self.support,
+                hooks=hooks,
+            )
+            cursors.append(RankCursor(rank, context, pipeline, rendezvous))
 
-        results = self._execute(replicas)
-        return self._aggregate(fleet, replicas, results, rendezvous, match, profile_hooks)
+        results = self._execute(cursors)
+        return self._aggregate(fleet, cursors, results, rendezvous, match, profile_hooks)
 
     # ------------------------------------------------------------------
     def _normalize(
@@ -510,21 +524,11 @@ class ClusterReplayer:
         )
         return [fleet[i] for i in order], [profilers[i] for i in order]
 
-    def _cost_model(self) -> CollectiveCostModel:
-        """The shared pricing model — built exactly the way each replica's
-        own runtime builds it, so a one-replica cluster replay prices every
-        collective identically to the single-rank pipeline."""
-        from repro.core.pipeline import make_collective_cost_model
-
-        return make_collective_cost_model(self.config)
-
     # ------------------------------------------------------------------
-    def _execute(self, replicas: List[RankReplica]) -> List[ReplayResult]:
-        from repro.cluster.scheduler import VirtualTimeScheduler
-
+    def _execute(self, cursors: List[RankCursor]) -> List[ReplayResult]:
         scheduler = VirtualTimeScheduler(
-            replicas,
-            replicas[0].rendezvous,
+            cursors,
+            cursors[0].rendezvous,
             pick=self.scheduler_pick,
             interrupt=self.scheduler_interrupt,
             telemetry=self.tracer,
@@ -532,23 +536,22 @@ class ClusterReplayer:
         errors = scheduler.run()
         if errors:
             raise ClusterReplayError(errors)
-        return [replica.result for replica in replicas]
+        return [cursor.result for cursor in cursors]
 
     # ------------------------------------------------------------------
     def _aggregate(
         self,
         fleet: List[ExecutionTrace],
-        replicas: List[RankReplica],
+        cursors: List[RankCursor],
         results: List[ReplayResult],
         rendezvous: EventRendezvous,
         match: CollectiveMatchReport,
         profile_hooks: Optional[Dict[int, Any]] = None,
     ) -> ClusterReport:
-        stats = rendezvous.stats(
-            measure_start_by_rank={
-                replica.rank: replica.measure_start_us for replica in replicas
-            }
-        )
+        measure_start_by_rank = {
+            cursor.rank: cursor.context.measure_start_us for cursor in cursors
+        }
+        stats = rendezvous.stats(measure_start_by_rank=measure_start_by_rank)
         world_size = self.config.world_size
         if world_size is None:
             world_size = max(
@@ -562,22 +565,23 @@ class ClusterReplayer:
             max_skew_us=stats.max_skew_us,
             mean_skew_us=stats.mean_skew_us,
         )
-        for replica, result in zip(replicas, results):
+        for cursor, result in zip(cursors, results):
+            context = cursor.context
             timeline = result.timeline_stats
             profile = None
-            hook = (profile_hooks or {}).get(replica.rank)
+            hook = (profile_hooks or {}).get(cursor.rank)
             if hook is not None:
                 profile = hook.report(
-                    trace_name=str(replica.trace.metadata.get("workload", "")),
-                    device=replica.config.device,
+                    trace_name=str(context.trace.metadata.get("workload", "")),
+                    device=context.config.device,
                 )
             report.ranks.append(
                 RankReport(
-                    rank=replica.rank,
+                    rank=cursor.rank,
                     summary=result.summarize(),
                     comm_time_us=timeline.category_kernel_time_us.get("comms", 0.0),
                     exposed_comm_us=timeline.category_exposed_time_us.get("comms", 0.0),
-                    stall_us=stats.stall_us_by_rank.get(replica.rank, 0.0),
+                    stall_us=stats.stall_us_by_rank.get(cursor.rank, 0.0),
                     memory=result.memory_report,
                     profile=profile,
                 )
@@ -588,10 +592,8 @@ class ClusterReplayer:
 
             record_cluster_timeline(
                 tracer,
-                {replica.rank: result for replica, result in zip(replicas, results)},
+                {cursor.rank: result for cursor, result in zip(cursors, results)},
                 collective_events=getattr(rendezvous, "events", ()),
-                measure_start_by_rank={
-                    replica.rank: replica.measure_start_us for replica in replicas
-                },
+                measure_start_by_rank=measure_start_by_rank,
             )
         return report

@@ -3,10 +3,10 @@
 Instead of one worker thread per rank blocking inside a barrier, the fleet
 replays on **one** thread:
 
-* every :class:`~repro.cluster.replica.RankReplica` becomes a
-  :class:`RankCursor` — its stage pipeline's
-  :meth:`~repro.core.pipeline.ReplayPipeline.steps` generator, the very
-  execute loop a single-rank replay runs to completion;
+* every rank's :class:`~repro.core.pipeline.ReplayContext` becomes a
+  :class:`RankCursor` — the fleet pipeline's
+  :meth:`~repro.core.pipeline.ReplayPipeline.steps` generator over that
+  context, the very execute loop a single-rank replay runs to completion;
 * the shared :class:`~repro.cluster.rendezvous.EventRendezvous` raises
   :class:`~repro.torchsim.distributed.RankBlocked` instead of blocking;
   the execute loop's collective wrapper
@@ -31,7 +31,8 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked
-from repro.core.pipeline import ReplayContext
+from repro.core.pipeline import ReplayContext, ReplayPipeline
+from repro.core.replayer import ReplayResult
 
 #: Scheduler pick function: ``(runnable ranks, step index) -> index`` into
 #: the runnable list.  Injectable for the insertion-order-independence
@@ -62,29 +63,34 @@ class ClusterPaused(BaseException):
 class RankCursor:
     """One rank's replay as a resumable op cursor.
 
-    Drives the replica's stage pipeline through
+    Drives ``context`` through ``pipeline``'s
     :meth:`~repro.core.pipeline.ReplayPipeline.steps`, so it yields the
     blocked :class:`~repro.torchsim.distributed.RankBlocked` signal
     whenever the execute stage hits an unresolved collective, records the
-    replica's result or error, and always retires the rank from the
-    rendezvous so peers waiting on it fail fast instead of hanging.
+    rank's :attr:`result` or :attr:`error`, and always retires the rank
+    from the rendezvous so peers waiting on it fail fast instead of
+    hanging.
     """
 
-    def __init__(self, replica) -> None:
-        self.replica = replica
-        self.context = ReplayContext(
-            trace=replica.trace,
-            profiler_trace=replica.profiler_trace,
-            config=replica.config,
-            support=replica.support,
-            hooks=list(replica.hooks),
-        )
+    def __init__(
+        self,
+        rank: int,
+        context: ReplayContext,
+        pipeline: ReplayPipeline,
+        rendezvous: EventRendezvous,
+    ) -> None:
+        self.rank = rank
+        self.context = context
+        self.pipeline = pipeline
+        self.rendezvous = rendezvous
+        self.result: Optional[ReplayResult] = None
+        self.error: Optional[str] = None
         self._generator = self._run()
 
     def advance(self) -> RankBlocked:
         """Run until the next park point.  Raises ``StopIteration`` when
-        the replica finished; replay errors propagate (and are recorded on
-        the replica)."""
+        the rank finished; replay errors propagate (and are recorded on
+        :attr:`error`)."""
         return next(self._generator)
 
     def close(self) -> None:
@@ -94,18 +100,14 @@ class RankCursor:
 
     # ------------------------------------------------------------------
     def _run(self):
-        replica = self.replica
-        context = self.context
-        pipeline = replica.build_pipeline()
         try:
-            yield from pipeline.steps(context)
-            replica.result = pipeline.result_of(context)
-            replica.measure_start_us = context.measure_start_us
+            yield from self.pipeline.steps(self.context)
+            self.result = self.pipeline.result_of(self.context)
         except BaseException as error:  # noqa: BLE001 - recorded, then re-raised
-            replica.error = f"{type(error).__name__}: {error}"
+            self.error = f"{type(error).__name__}: {error}"
             raise
         finally:
-            replica.rendezvous.retire(replica.rank)
+            self.rendezvous.retire(self.rank)
 
 
 class VirtualTimeScheduler:
@@ -130,13 +132,13 @@ class VirtualTimeScheduler:
 
     def __init__(
         self,
-        replicas: Iterable,
+        cursors: Iterable[RankCursor],
         rendezvous: EventRendezvous,
         pick: Optional[PickFunction] = None,
         interrupt: Optional[Callable[[], bool]] = None,
         telemetry=None,
     ) -> None:
-        self.replicas = list(replicas)
+        self.cursors = list(cursors)
         self.rendezvous = rendezvous
         self.pick = pick
         #: Polled at the top of every scheduling step; a truthy return
@@ -152,11 +154,9 @@ class VirtualTimeScheduler:
     # ------------------------------------------------------------------
     def run(self) -> Dict[int, str]:
         """Drive every cursor to completion; returns ``{rank: error}`` for
-        replicas that failed (empty dict = clean fleet).  Results land on
-        the replicas themselves."""
-        cursors: Dict[int, RankCursor] = {}
-        for replica in self.replicas:
-            cursors[replica.rank] = RankCursor(replica)
+        ranks that failed (empty dict = clean fleet).  Results land on the
+        cursors themselves."""
+        cursors = {cursor.rank: cursor for cursor in self.cursors}
         runnable = deque(sorted(cursors))
         parked: Dict[Tuple, List[int]] = {}
         errors: Dict[int, str] = {}
@@ -218,7 +218,7 @@ class VirtualTimeScheduler:
                         )
                 except Exception as error:  # noqa: BLE001 - aggregated like the pool path
                     outstanding.discard(rank)
-                    errors[rank] = cursor.replica.error or f"{type(error).__name__}: {error}"
+                    errors[rank] = cursor.error or f"{type(error).__name__}: {error}"
                     if telemetry is not None:
                         telemetry.event(
                             "rank-error",

@@ -380,17 +380,23 @@ class InitCommsStage(ReplayStage):
     """Create the runtime (and distributed context) the replay runs on and
     re-create the recorded process groups — Section 4.6.
 
-    A runtime already present on the context (injected by the caller) is
-    kept; only the communication groups are ensured on it."""
+    ``rendezvous`` (the cluster engine's shared
+    :class:`~repro.cluster.rendezvous.EventRendezvous`) is attached to the
+    distributed context, so every collective the rank replays is matched
+    with its peers, priced once and released at a common virtual time."""
 
     name = "init-comms"
 
+    def __init__(self, rendezvous: Optional[Any] = None) -> None:
+        self.rendezvous = rendezvous
+
     def run(self, context: ReplayContext) -> None:
-        if context.runtime is None:
-            context.runtime = make_replay_runtime(context.trace, context.config)
-        if context.runtime.dist is not None:
-            comm_manager = CommReplayManager(context.runtime.dist, context.config.remap_world_size)
+        context.runtime = make_replay_runtime(context.trace, context.config)
+        dist = context.runtime.dist
+        if dist is not None:
+            comm_manager = CommReplayManager(dist, context.config.remap_world_size)
             comm_manager.ensure_groups(CommReplayManager.extract(context.trace))
+            dist.rendezvous = self.rendezvous
 
 
 class ExecuteStage(ReplayStage):
@@ -876,7 +882,6 @@ def run_replay(
     support: Optional[ReplaySupport] = None,
     hooks: Optional[Sequence[ReplayHook]] = None,
     pipeline: Optional[ReplayPipeline] = None,
-    runtime: Optional[Runtime] = None,
     pause_check: Optional[Any] = None,
     resume_from: Optional[ReplayCheckpoint] = None,
 ) -> "ReplayResult":
@@ -903,7 +908,6 @@ def run_replay(
         config=config,
         profiler_trace=profiler_trace,
         support=support,
-        runtime=runtime,
         hooks=list(hooks or []),
     )
     if pause_check is not None or resume_from is not None:

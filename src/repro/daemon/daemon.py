@@ -137,6 +137,10 @@ class ReplayDaemon:
         self.metrics.counter(
             "repro_jobs_resumed_total", "Paused jobs requeued by resume()."
         )
+        self.metrics.counter(
+            "repro_store_skipped_records_total",
+            "Unreadable job records recovery skipped at startup.",
+        )
         self.metrics.gauge("repro_jobs_running", "Jobs currently executing.")
         self.metrics.gauge("repro_queue_depth", "Jobs waiting in the queue.")
         self.metrics.histogram(
@@ -155,6 +159,7 @@ class ReplayDaemon:
             self._seq = max(self._seq, record.seq)
             if record.state == "queued":
                 self.queue.push(record.priority, record.owner, record.seq, record.id)
+        self.metrics.counter("repro_store_skipped_records_total").inc(self.store.skipped)
 
     def start(self) -> None:
         self.executor.start()

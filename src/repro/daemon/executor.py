@@ -189,7 +189,9 @@ def _run_point(
     resume: Optional[ReplayCheckpoint],
     pinned: List[str],
 ) -> Tuple[str, Any]:
-    """One grid point: cache, then in-flight coordination, then replay.
+    """One grid point: in-flight coordination, then a one-point batch that
+    serves it from the cache or replays it.  The batch's lookup is the
+    point's only one, so the cache counts each point once.
 
     Returns ("cached" | "replayed", summary), ("failed", error details),
     ("cancelled" | "paused", None) — or raises
@@ -200,10 +202,6 @@ def _run_point(
         cache.pin(key)
         pinned.append(key)
     while True:
-        if cache is not None:
-            summary = cache.get(key)
-            if summary is not None:
-                return "cached", summary
         if inflight is None:
             event, mine = None, True
         else:
@@ -217,7 +215,7 @@ def _run_point(
                     return "cancelled", None
                 if control.pause.is_set():
                     return "paused", None
-            continue  # owner released: re-read the cache
+            continue  # owner released: claim again, then read its result
         try:
             replayer = BatchReplayer(
                 cache=cache, backend="serial", pause_check=control.interrupted

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 #: Version stamped on every persisted job record and daemon payload; bump
 #: on any shape change so a restarted daemon never misreads old state.
@@ -217,9 +217,3 @@ def cluster_snapshot(completed_steps: int) -> Dict[str, Any]:
 def job_sort_key(record: JobRecord) -> tuple:
     """Canonical listing order: submission order."""
     return (record.seq, record.id)
-
-
-def validate_states(records: List[JobRecord]) -> None:
-    for record in records:
-        if record.state not in JOB_STATES:
-            raise ValueError(f"job {record.id} has unknown state {record.state!r}")

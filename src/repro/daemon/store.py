@@ -27,7 +27,7 @@ import logging
 import os
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.daemon.jobs import JobRecord, job_sort_key
 
@@ -41,6 +41,8 @@ class JobStore:
         self.root = Path(state_dir)
         self.jobs_dir = self.root / "jobs"
         self._lock = threading.Lock()
+        #: Unreadable records the last :meth:`load_all` skipped.
+        self.skipped = 0
 
     def _path(self, job_id: str) -> Path:
         return self.jobs_dir / f"{job_id}.json"
@@ -67,6 +69,7 @@ class JobStore:
         """Every readable record, in submission order; unreadable files
         are skipped with a warning naming the file (a torn tmp file must
         not wedge startup)."""
+        self.skipped = 0
         if not self.jobs_dir.is_dir():
             return []
         records = []
@@ -74,6 +77,7 @@ class JobStore:
             try:
                 records.append(JobRecord.from_dict(json.loads(path.read_text())))
             except (OSError, json.JSONDecodeError, KeyError, ValueError) as error:
+                self.skipped += 1
                 logger.warning(
                     "skipping unreadable job record %s (%s)", path, type(error).__name__
                 )
@@ -105,11 +109,3 @@ class JobStore:
     def max_seq(self) -> int:
         records = self.load_all()
         return max((record.seq for record in records), default=0)
-
-
-def state_counts(records: Dict[str, JobRecord]) -> Dict[str, int]:
-    """State -> job count, for the health payload."""
-    counts: Dict[str, int] = {}
-    for record in records.values():
-        counts[record.state] = counts.get(record.state, 0) + 1
-    return counts

@@ -16,6 +16,7 @@ from repro.bench.harness import capture_workload
 from repro.core.pipeline import (
     BUILD_STAGE_NAMES,
     ExecuteStage,
+    InitCommsStage,
     MeasureStage,
     ReplayContext,
     ReplayHook,
@@ -85,6 +86,18 @@ class TestPipelineStructure:
         stages["measure"].run(context)
         assert context.result is not None
         assert context.result.replayed_ops == context.replayed_ops
+
+    def test_init_comms_attaches_only_a_given_rendezvous(self, small_linear_capture):
+        def dist_after(stage):
+            context = ReplayContext(
+                trace=small_linear_capture.execution_trace, config=ReplayConfig(world_size=2)
+            )
+            stage.run(context)
+            return context.runtime.dist
+
+        assert dist_after(InitCommsStage()).rendezvous is None
+        rendezvous = object()
+        assert dist_after(InitCommsStage(rendezvous)).rendezvous is rendezvous
 
     def test_stage_requires_prerequisites(self, small_linear_capture):
         context = ReplayContext(trace=small_linear_capture.execution_trace)

@@ -26,13 +26,13 @@ from repro.cluster import (
     ClusterMatchError,
     ClusterReplayer,
     CollectiveSyncError,
-    SyncCollectivesStage,
     match_collectives,
 )
 from repro.cluster.rendezvous import EventRendezvous, RankBlocked, normalize_op
 from repro.cluster.scheduler import RankCursor
 from repro.core.pipeline import (
     ExecuteStage,
+    InitCommsStage,
     ReplayContext,
     ReplayPipeline,
     ReplayPipelineError,
@@ -145,7 +145,7 @@ class TestExecuteStageOutsideScheduler:
         config = ReplayConfig(device="A100", iterations=2)
         context = ReplayContext(trace=fleet_traces[0], config=config)
         ReplayPipeline.build_only().run_context(context)
-        SyncCollectivesStage(rendezvous).run(context)
+        InitCommsStage(rendezvous).run(context)
         outcome = {}
 
         def run():

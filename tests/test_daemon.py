@@ -263,6 +263,17 @@ class TestJobStore:
         assert str(truncated) in skipped[0]
         assert "JSONDecodeError" in skipped[0]
 
+    def test_recovery_counts_skipped_records(self, tmp_path):
+        clean = ReplayDaemon(tmp_path / "clean", workers=1)  # not started
+        assert "\nrepro_store_skipped_records_total 0\n" in clean.metrics_text()
+        state_dir = tmp_path / "state"
+        store = JobStore(state_dir)
+        good = store.save(self.make_record("j1", seq=1))
+        (store.jobs_dir / "j2.json").write_text(good.read_text()[:40])
+        daemon = ReplayDaemon(state_dir, workers=1)  # not started
+        assert [record.id for record in daemon.list_jobs()] == ["j1"]
+        assert "\nrepro_store_skipped_records_total 1\n" in daemon.metrics_text()
+
     def test_load_all_orders_by_submission(self, tmp_path):
         store = JobStore(tmp_path)
         store.save(self.make_record("jz", seq=2))
@@ -335,6 +346,19 @@ class TestDaemonLifecycle:
         assert daemon.get(record.id, owner="alice").id == record.id
         with pytest.raises(ValueError, match="owner"):
             daemon.submit("", JobSpec("sweep", sweep_payload(daemon_repo)))
+
+    def test_cache_looks_up_each_point_once(self, tmp_path, daemon_repo):
+        """A fresh job's points each miss once; a rerun's each hit once."""
+        with ReplayDaemon(tmp_path / "state", workers=1) as daemon:
+            counts = []
+            for _ in range(2):
+                record = daemon.submit("alice", JobSpec("sweep", sweep_payload(daemon_repo)))
+                assert daemon.wait(record.id, timeout=WAIT_S).state == "completed"
+                stats = daemon.health()["cache"]
+                counts.append((stats["misses"], stats["hits"]))
+        points = daemon.result(record.id)["total"]
+        assert points == 2
+        assert counts == [(points, 0), (points, points)]
 
     def test_health_payload(self, tmp_path, daemon_repo):
         with ReplayDaemon(tmp_path / "state", workers=1) as daemon:

@@ -415,6 +415,19 @@ class TestClusterStageSpans:
             }
 
 
+    def test_every_rank_runs_the_default_stages(self, rm_fleet):
+        """The fleet's one pipeline is the default one: every rank times
+        the same stages, ``init-comms`` included, in the same order."""
+        from repro.core.pipeline import ReplayPipeline
+
+        tracer = Tracer()
+        api.replay_cluster(rm_fleet).on("A100").with_telemetry(tracer).run()
+        stages = {}
+        for span in tracer.spans:
+            if span.name.startswith("stage:"):
+                stages.setdefault(span.correlation["rank"], []).append(span.name[len("stage:"):])
+        assert stages == {rank: ReplayPipeline.default().stage_names() for rank in range(4)}
+
     def test_non_profile_factory_hook_keeps_telemetry_stage_spans(self, rm_fleet):
         from repro.cluster.engine import ClusterReplayer
         from repro.core.pipeline import ReplayHook
